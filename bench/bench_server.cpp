@@ -252,9 +252,7 @@ void run_e16() {
   ms::ServerOptions opts;
   opts.uds_path = sock_path();
   opts.shards = 4;
-  opts.default_spec = "hybrid";  // lean per-counter engine at 100k names
   opts.executor_threads = 2;
-  opts.batch_size = 64;
   ms::CounterServer server(opts);
   server.Start();
 
@@ -372,7 +370,6 @@ ms::ServerOptions e17_options() {
   ms::ServerOptions opts;
   opts.uds_path = sock_path();
   opts.state_file = state_path();
-  opts.default_spec = "hybrid";
   // The bench measures restore cost, not disk sync cost: fsync per
   // tick would time the device, and the recovery suite already proves
   // the acked-implies-durable ordering with it on.

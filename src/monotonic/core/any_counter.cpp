@@ -489,11 +489,11 @@ class SharedCounterModel final : public AnyCounter {
   // local code the other side cannot run); the reduction happens here
   // and the threshold wait crosses the process boundary as usual.
   void CheckWhen(std::function<bool(counter_value_t)> pred) override {
-    impl_.Check(reduce_predicate(pred, kPredicateCap));
+    impl_.Check(reduce_predicate(pred, kMaxValue));
   }
   bool CheckWhen(std::function<bool(counter_value_t)> pred,
                  std::stop_token stop) override {
-    return impl_.Check(reduce_predicate(pred, kPredicateCap),
+    return impl_.Check(reduce_predicate(pred, kMaxValue),
                        std::move(stop));
   }
   /// The shm value word read is atomic and monotone, so the debug read
@@ -501,6 +501,7 @@ class SharedCounterModel final : public AnyCounter {
   counter_value_t value_lower_bound() const override {
     return impl_.debug_value();
   }
+  counter_value_t max_value() const override { return kMaxValue; }
   void OnReach(counter_value_t level, std::function<void()> fn) override {
     impl_.OnReach(level, std::move(fn));
   }
@@ -524,9 +525,10 @@ class SharedCounterModel final : public AnyCounter {
   const std::string& spec() const override { return spec_; }
 
  private:
-  // Conservative predicate-reduction cap (SharedCounter advertises no
-  // kMaxValue); matches detail::counter_max_value's fallback bound.
-  static constexpr counter_value_t kPredicateCap =
+  // Conservative value cap, also the predicate-reduction cap
+  // (SharedCounter advertises no kMaxValue); matches
+  // detail::counter_max_value's fallback bound.
+  static constexpr counter_value_t kMaxValue =
       std::numeric_limits<counter_value_t>::max() >> 1;
 
   std::string spec_;

@@ -113,6 +113,9 @@ class AnyCounter {
   /// Monotone lower bound of the value — the sanctioned read for
   /// multi.hpp trigger computation (debug_value is debug-only).
   virtual counter_value_t value_lower_bound() const = 0;
+  /// Largest value the counter is guaranteed to hold; an Increment
+  /// carrying it further may throw std::invalid_argument.
+  virtual counter_value_t max_value() const = 0;
   /// Async Check; see BasicCounter::OnReach for the execution contract.
   virtual void OnReach(counter_value_t level, std::function<void()> fn) = 0;
   /// Async Check with a poison-delivery callback.
@@ -286,6 +289,9 @@ class CounterModel final : public AnyCounter {
   }
   counter_value_t value_lower_bound() const override {
     return impl_.value_lower_bound();
+  }
+  counter_value_t max_value() const override {
+    return detail::counter_max_value<C>();
   }
   void OnReach(counter_value_t level, std::function<void()> fn) override {
     impl_.OnReach(level, std::move(fn));

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <stop_token>
 
 #include "monotonic/core/wait_list.hpp"
@@ -32,6 +33,17 @@ std::size_t stripe_count_of(const C& c) noexcept {
     return c.stripe_count();
   } else {
     return 1;
+  }
+}
+
+/// kMaxValue of a counter type when it advertises one; otherwise the
+/// conservative lock-free bound (safe for any implementation).
+template <typename C>
+constexpr counter_value_t counter_max_value() {
+  if constexpr (requires { C::kMaxValue; }) {
+    return C::kMaxValue;
+  } else {
+    return std::numeric_limits<counter_value_t>::max() >> 1;
   }
 }
 

@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stop_token>
 #include <string_view>
@@ -42,21 +41,6 @@
 #include "monotonic/support/trace.hpp"
 
 namespace monotonic {
-
-namespace detail {
-
-/// kMaxValue of the wrapped type when it advertises one; otherwise the
-/// conservative lock-free bound (safe for any implementation).
-template <typename C>
-constexpr counter_value_t counter_max_value() {
-  if constexpr (requires { C::kMaxValue; }) {
-    return C::kMaxValue;
-  } else {
-    return std::numeric_limits<counter_value_t>::max() >> 1;
-  }
-}
-
-}  // namespace detail
 
 /// Tag for decorator constructors that forward trailing arguments to
 /// the wrapped counter's constructor.

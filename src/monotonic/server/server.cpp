@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "monotonic/core/any_counter.hpp"
-#include "monotonic/core/batching_counter.hpp"
 #include "monotonic/core/completion.hpp"
 #include "monotonic/core/counter_error.hpp"
 #include "monotonic/server/protocol.hpp"
@@ -159,8 +158,13 @@ struct CounterServer::Impl {
     std::string spec;           ///< as resolved at creation (snapshotted)
     std::string poison_reason;  ///< wire poison reason (snapshotted)
     std::unique_ptr<AnyCounter> counter;
-    std::unique_ptr<BatchingIncrementer<AnyCounter>> batcher;
-    bool dirty = false;  ///< has buffered increments this tick
+    counter_value_t pending = 0;  ///< acked, applied by flush_entry
+
+    /// True when `amount` would carry applied + pending out of range.
+    bool overflows(counter_value_t amount) const {
+      return amount >
+             counter->max_value() - counter->value_lower_bound() - pending;
+    }
   };
 
   struct Shard {
@@ -179,7 +183,7 @@ struct CounterServer::Impl {
     std::size_t woff = 0;  ///< written prefix of wbuf
     bool gated = false;    ///< kBlockIncrementers backpressure engaged
     std::deque<std::string> gated_frames;  ///< payloads deferred while gated
-    std::vector<std::shared_ptr<WaitReg>> waits;  ///< for the death sweep
+    std::vector<std::shared_ptr<WaitReg>> waits;  ///< for the sweeps
     bool dead = false;
     bool has_session = false;  ///< Hello received
     std::uint64_t session_hi = 0;
@@ -219,7 +223,7 @@ struct CounterServer::Impl {
   std::unordered_map<int, Connection> conns;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers;
   std::vector<std::shared_ptr<WaitReg>> degraded;  ///< tick poll list
-  std::vector<std::pair<std::size_t, std::size_t>> dirty;  ///< (shard, idx)
+  std::vector<std::uint64_t> dirty;  ///< ids of entries with a pending sum
 
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, Session,
                      SessionKeyHash>
@@ -257,7 +261,6 @@ struct CounterServer::Impl {
 
   explicit Impl(ServerOptions o) : opts(std::move(o)) {
     if (opts.shards == 0) opts.shards = 1;
-    if (opts.batch_size == 0) opts.batch_size = 1;
     if (opts.max_sessions == 0) opts.max_sessions = 1;
     shards.resize(opts.shards);
     executor = std::make_shared<ThreadPoolExecutor>(
@@ -328,8 +331,6 @@ struct CounterServer::Impl {
     } catch (const std::invalid_argument&) {
       return nullptr;
     }
-    entry.batcher = std::make_unique<BatchingIncrementer<AnyCounter>>(
-        *entry.counter, opts.batch_size);
     sh.entries.push_back(std::move(entry));
     const std::uint64_t id =
         id_of(shard_of(name), sh.entries.size() - 1);
@@ -594,16 +595,15 @@ struct CounterServer::Impl {
     if (loop.joinable()) loop.join();
     for (auto& [fd, conn] : conns) ::close(fd);
     conns.clear();
-    auto close_if = [](int& fd) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    };
-    close_if(uds_fd);
-    close_if(tcp_fd);
-    if (!opts.uds_path.empty()) ::unlink(opts.uds_path.c_str());
+    close_listeners();
     started = false;
+  }
+
+  void close_listeners() {
+    for (int* fd : {&uds_fd, &tcp_fd}) {
+      if (*fd >= 0) ::close(std::exchange(*fd, -1));
+    }
+    if (!opts.uds_path.empty()) ::unlink(opts.uds_path.c_str());
   }
 
   // ---- event loop -------------------------------------------------
@@ -684,16 +684,7 @@ struct CounterServer::Impl {
   /// clients back off instead of storming the dead listener), state
   /// snapshotted, response buffers flushed best-effort.
   void perform_drain() {
-    // Refuse new work first: close + unlink the listeners.
-    auto close_if = [](int& fd) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    };
-    close_if(uds_fd);
-    close_if(tcp_fd);
-    if (!opts.uds_path.empty()) ::unlink(opts.uds_path.c_str());
+    close_listeners();  // refuse new work first
 
     drain_completions();  // settle anything already fired
     for (auto& [fd, conn] : conns) {
@@ -988,6 +979,15 @@ struct CounterServer::Impl {
       }
       return;
     }
+    // Refused before the dedup window, journal and ack: once acked, an
+    // increment must fit when the tick applies it.
+    if (entry->overflows(amount)) {
+      if (ack) {
+        bad_request(conn, req_id,
+                    "Increment: overflows counter '" + entry->name + "'");
+      }
+      return;
+    }
     if (seq != 0 && conn.has_session) {
       Session& session = touch_session(conn.session_hi, conn.session_lo);
       if (session.window.seen(seq)) {
@@ -1003,26 +1003,20 @@ struct CounterServer::Impl {
       journal_append(journal_increment_body(id, amount, conn.session_hi,
                                             conn.session_lo, seq));
     }
-    // Per-tick batching: the BatchingIncrementer flushes itself every
-    // `batch_size` units (the decorator's sub-batch logic); whatever
-    // remains flushes at tick end (flush_dirty) or on the next read.
-    entry->batcher->Increment(amount);
+    // Per-tick batching: applied at tick end or on the next read.
+    if (entry->pending == 0 && amount > 0) dirty.push_back(id);
+    entry->pending += amount;
     s_batched.fetch_add(1, std::memory_order_relaxed);
-    if (!entry->dirty) {
-      entry->dirty = true;
-      dirty.emplace_back((id - 1) % shards.size(), (id - 1) / shards.size());
-    }
     if (ack) respond(conn, Status::kOk, req_id);
   }
 
   /// Read-your-writes: any operation that observes a counter's value
-  /// flushes its batch first.
+  /// applies its pending sum first.
   void flush_entry(Entry& entry) {
-    if (entry.batcher->pending() > 0) {
-      entry.batcher->flush();
+    if (entry.pending > 0) {
+      entry.counter->Increment(std::exchange(entry.pending, 0));
       s_flushes.fetch_add(1, std::memory_order_relaxed);
     }
-    entry.dirty = false;
   }
 
   void do_wait(Connection& conn, std::uint64_t req_id, Reader& r, bool timed,
@@ -1121,6 +1115,14 @@ struct CounterServer::Impl {
     reg->req_id = req_id;
     reg->counter_id = id;
     reg->level = level;
+    // Prune settled regs before growing, so a long-lived connection
+    // keeps only its live parks; amortized O(1).
+    if (conn.waits.size() == conn.waits.capacity()) {
+      std::erase_if(conn.waits, [](const std::shared_ptr<WaitReg>& w) {
+        return w->settled.load(std::memory_order_acquire);
+      });
+      conn.waits.reserve(2 * conn.waits.size());
+    }
     conn.waits.push_back(reg);
     return reg;
   }
@@ -1338,10 +1340,7 @@ struct CounterServer::Impl {
   }
 
   void flush_dirty() {
-    for (const auto& [shard, idx] : dirty) {
-      Entry& entry = shards[shard].entries[idx];
-      if (entry.dirty) flush_entry(entry);
-    }
+    for (const std::uint64_t id : dirty) flush_entry(*entry_of(id));
     dirty.clear();
   }
 

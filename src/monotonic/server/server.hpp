@@ -18,10 +18,10 @@
 //     make_counter(spec, executor)), which posts a completion record
 //     back to the event loop through the wakeup pipe — no server
 //     thread ever blocks on a counter;
-//   * write-side batching rides BatchingIncrementer: increments
-//     accumulate per counter per event-loop tick (sub-batches flush
-//     themselves at batch_size, the remainder flushes at tick end and
-//     before any read of the same counter, preserving read-your-writes);
+//   * write-side batching is an inline per-counter sum: increments
+//     within one event-loop tick apply as one engine Increment at tick
+//     end or before any read of the same counter, preserving
+//     read-your-writes;
 //   * admission control rides OverloadPolicy: when parked waits exceed
 //     max_parked_waits the policy decides — kThrow answers
 //     kOverloaded (typed client-side as CounterOverloadedError),
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "monotonic/core/wait_list.hpp"  // OverloadPolicy
-#include "monotonic/support/config.hpp"
 
 namespace monotonic::server {
 
@@ -66,13 +65,11 @@ struct ServerOptions {
   bool tcp_any_port = false;
   /// Engine shards: logical counters are distributed by name hash.
   std::size_t shards = 4;
-  /// Spec for counters opened with an empty spec string.
-  std::string default_spec = "pooled:64+hybrid";
+  /// Spec for counters opened with an empty spec string.  Lean: a parked
+  /// wait is an OnReach registration, so wait-node pools would go unused.
+  std::string default_spec = "hybrid";
   /// Workers of the one completion pool shared by every counter.
   std::size_t executor_threads = 2;
-  /// Write-side batching: sub-batch size per counter per tick (1
-  /// disables batching — every increment hits the engine directly).
-  counter_value_t batch_size = 64;
   /// Admission control for parked waits across all connections
   /// (0 = unlimited).
   std::size_t max_parked_waits = 0;
@@ -134,7 +131,7 @@ struct ServerStats {
   std::uint64_t gated_connections = 0;  ///< connections under backpressure
   std::uint64_t overload_rejections = 0;
   std::uint64_t batched_increments = 0; ///< increments absorbed into a batch
-  std::uint64_t flushes = 0;            ///< batcher flushes (tick + read-side)
+  std::uint64_t flushes = 0;            ///< engine applies (tick + read-side)
   std::uint64_t protocol_errors = 0;    ///< bad frames answered or dropped
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;

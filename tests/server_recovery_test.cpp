@@ -336,6 +336,32 @@ TEST(Recovery, DuplicateRetriedIncrementsApplyExactlyOnce) {
   ::unlink((state + ".journal").c_str());
 }
 
+TEST(Recovery, RejectedOverflowNeverReachesTheJournal) {
+  ms::ServerOptions o;
+  o.uds_path = unique_path("overflow.sock");
+  o.state_file = unique_path("overflow.state");
+  {
+    ms::CounterServer server(o);
+    server.Start();
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto opened = c.open("bounded");
+    c.increment(opened.id, 5);
+    EXPECT_THROW(c.increment(opened.id, std::uint64_t{1} << 63),
+                 std::invalid_argument);
+    c.increment(opened.id, 2);
+    server.Stop();  // crash-shaped: the restart replays the journal
+  }
+  {
+    ms::CounterServer server(o);
+    server.Start();
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    EXPECT_EQ(c.resolve("bounded").value, 7u);
+    server.Stop();
+  }
+  ::unlink(o.state_file.c_str());
+  ::unlink((o.state_file + ".journal").c_str());
+}
+
 TEST(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
   const std::string sock = unique_path("epoch.sock");
   const std::string state = unique_path("epoch.state");

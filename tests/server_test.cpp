@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +63,24 @@ std::string body_message(const ms::ServerClient::Response& resp) {
   std::string_view msg;
   return r.get_str16(msg) ? std::string(msg) : std::string();
 }
+
+/// Resident set size of this process.
+std::size_t rss_bytes() {
+  unsigned long pages = 0, resident = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%lu %lu", &pages, &resident) != 2) resident = 0;
+    std::fclose(f);
+  }
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// Sanitizer runtimes pad and quarantine allocations, so RSS growth
+// there says nothing about the server's own footprint.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 /// Polls `pred` until true or ~2s elapse.
 template <typename Pred>
@@ -184,15 +203,40 @@ TEST(ServerParking, CheckForTimesOut) {
   EXPECT_EQ(value, 100u);
 }
 
+TEST(ServerParking, SettledWaitsAreNotRetained) {
+  if (kSanitized) GTEST_SKIP() << "RSS is not measurable under a sanitizer";
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("rewoken");
+  // Every wait parks one level above the value and is woken by the
+  // no-ack increment right behind it: one connection, many settles.
+  std::uint64_t level = 0;
+  auto park_and_wake = [&](int waits) {
+    std::vector<std::uint64_t> rids;
+    rids.reserve(waits);
+    for (int i = 0; i < waits; ++i) {
+      rids.push_back(c.on_reach_async(opened.id, ++level));
+      c.increment_noack(opened.id, 1);
+    }
+    for (const std::uint64_t rid : rids) EXPECT_GE(c.await_reach(rid), 1u);
+  };
+  park_and_wake(1000);  // warm-up: buffers and allocator arenas
+  const std::size_t before = rss_bytes();
+  for (int round = 0; round < 100; ++round) park_and_wake(1000);
+  const std::size_t after = rss_bytes();
+  EXPECT_GE(c.stats(opened.id).at("async_completions"), 101'000u);
+  EXPECT_EQ(fx.server().stats().parked_waits, 0u);
+  // 100k settled registrations kept alive would be ~10 MB.
+  EXPECT_LT(after > before ? after - before : 0, std::size_t{2} << 20);
+}
+
 TEST(ServerBatching, ReadYourWrites) {
-  ms::ServerOptions opts;
-  opts.batch_size = 1000;  // increments buffer server-side
-  ServerFixture fx(opts);
+  ServerFixture fx;
   ms::ServerClient c = fx.connect();
   const auto opened = c.open("batched");
   // Ten no-ack increments in ONE write: they land in one event-loop
-  // tick and coalesce in the per-counter batcher.  (Acked increments
-  // are one round-trip each — a tick apiece — so they flush singly.)
+  // tick and coalesce in the counter's pending sum.  (Acked increments
+  // are one round-trip each — a tick apiece — so they apply singly.)
   std::string burst;
   for (int i = 0; i < 10; ++i) {
     std::string body;
@@ -384,6 +428,34 @@ TEST(ServerRobustness, UnknownOpcodeAnswersBadRequest) {
   EXPECT_EQ(resp.req_id, 7u);
 }
 
+TEST(ServerRobustness, OverflowingIncrementAnswersBadRequest) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("near-max");  // default spec: hybrid
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max() >> 1;
+  c.increment(opened.id, 5);
+  EXPECT_THROW(c.increment(opened.id, std::uint64_t{1} << 63),
+               std::invalid_argument);
+  // A no-ack pair in one write (one tick): the first fits, the second
+  // would carry applied + pending past the maximum and is dropped.
+  std::string pair;
+  for (const std::uint64_t amount : {max - 10, std::uint64_t{6}}) {
+    std::string body;
+    ms::put_u64(body, opened.id);
+    ms::put_u64(body, amount);
+    ms::put_u8(body, ms::kIncrementNoAck);
+    pair += ms::make_frame(static_cast<std::uint8_t>(ms::Op::kIncrement),
+                           /*req_id=*/0, body);
+  }
+  c.send_raw(pair);
+  EXPECT_EQ(c.stats(opened.id).at("value"), max - 5);
+  // The connection keeps working, and the counter fills exactly to max.
+  c.increment(opened.id, 5);
+  EXPECT_EQ(c.check(opened.id, max), max);
+  EXPECT_THROW(c.increment(opened.id, 1), std::invalid_argument);
+  EXPECT_EQ(c.stats(opened.id).at("value"), max);
+}
+
 TEST(ServerRobustness, HalfFrameThenDisconnectLeaksNothing) {
   ServerFixture fx;
   {
@@ -438,6 +510,25 @@ TEST(ServerRobustness, TcpListenerWorksToo) {
     EXPECT_EQ(c.check(opened.id, 4), 4u);
   }
   server.Stop();
+}
+
+// ---- footprint -----------------------------------------------------
+
+TEST(ServerFootprint, DefaultSpecCountersStayLean) {
+  if (kSanitized) GTEST_SKIP() << "RSS is not measurable under a sanitizer";
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  c.open("warm-up");
+  constexpr std::size_t kCounters = 20'000;
+  const std::size_t before = rss_bytes();
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    c.open("lean/" + std::to_string(i));
+  }
+  const std::size_t after = rss_bytes();
+  EXPECT_EQ(c.stats().at("counters_open"), kCounters + 1);
+  // Client-side name bookkeeping is in the figure too.  A counter with
+  // a 64-node wait pool costs ~17 KB.
+  EXPECT_LT((after > before ? after - before : 0) / kCounters, 2048u);
 }
 
 // ---- multi-process integration -------------------------------------
