@@ -79,15 +79,36 @@ std::string exception_message(std::exception_ptr ep) {
   }
 }
 
+/// Parses the default spec once, up front: a default-spec counter
+/// builds its engine only when first needed, on the loop thread, where
+/// a bad spec could no longer be reported.  Returns the spec's
+/// max_value(), the bound a counter without an engine is held to.
+counter_value_t checked_default_max(const std::string& spec) {
+  const std::string what = "ServerOptions::default_spec '" + spec + "' ";
+  if (spec.rfind("shared:", 0) == 0) {
+    throw std::invalid_argument(what + "names a shared: segment, which "
+                                       "every default-spec name would alias");
+  }
+  try {
+    return make_counter(spec)->max_value();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(what + "does not parse: " + e.what());
+  }
+}
+
 // SIGTERM → graceful drain (ServerOptions::drain_on_sigterm).  The
 // handler may only touch async-signal-safe state: a flag the event
 // loop polls and a write() to the wakeup pipe that makes it poll NOW.
 // Process-wide by necessity — one drain-on-signal server per process.
-volatile std::sig_atomic_t g_sigterm_pending = 0;
+// The flag is a lock-free atomic, not a volatile sig_atomic_t: the
+// handler runs on whichever thread took the signal, and the loop
+// thread reads the flag.
+std::atomic<int> g_sigterm_pending{0};
 std::atomic<int> g_sigterm_wake_fd{-1};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 void sigterm_handler(int) {
-  g_sigterm_pending = 1;
+  g_sigterm_pending.store(1, std::memory_order_relaxed);
   const int fd = g_sigterm_wake_fd.load(std::memory_order_relaxed);
   if (fd >= 0) {
     const char byte = 1;
@@ -157,19 +178,52 @@ struct CounterServer::Impl {
     std::string name;
     std::string spec;           ///< as resolved at creation (snapshotted)
     std::string poison_reason;  ///< wire poison reason (snapshotted)
+    /// Null for a default-spec counter until engine() builds it; until
+    /// then its value is `applied`.
     std::unique_ptr<AnyCounter> counter;
+    counter_value_t applied = 0;
     counter_value_t pending = 0;  ///< acked, applied by flush_entry
 
-    /// True when `amount` would carry applied + pending out of range.
-    bool overflows(counter_value_t amount) const {
-      return amount >
-             counter->max_value() - counter->value_lower_bound() - pending;
+    counter_value_t value() const {
+      return counter ? counter->value_lower_bound() : applied;
+    }
+    bool poisoned() const { return counter && counter->poisoned(); }
+    void add(counter_value_t amount) {
+      if (counter) return counter->Increment(amount);
+      applied += amount;
+    }
+    /// True when `amount` would carry value + pending out of range;
+    /// `inline_max` bounds a counter without an engine.
+    bool overflows(counter_value_t amount, counter_value_t inline_max) const {
+      const counter_value_t max = counter ? counter->max_value() : inline_max;
+      return amount > max - value() - pending;
+    }
+  };
+
+  /// A counter name with its hash, computed once per request: the hash
+  /// picks the shard and is the name map's bucket hash, so neither a
+  /// lookup nor an insert hashes the name again.
+  template <typename Str>
+  struct Hashed {
+    Str name;
+    std::size_t hash;
+  };
+  using HashedName = Hashed<std::string_view>;
+  /// Transparent hash and equality over Hashed<string[_view]>.
+  struct ByHash {
+    using is_transparent = void;
+    template <typename K>
+    std::size_t operator()(const K& k) const noexcept { return k.hash; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.hash == b.hash && a.name == b.name;
     }
   };
 
   struct Shard {
-    std::unordered_map<std::string, std::uint64_t> names;  // name -> id
-    std::vector<Entry> entries;                            // local index
+    std::unordered_map<Hashed<std::string>, std::uint64_t, ByHash, ByHash>
+        names;                   // name -> id
+    std::vector<Entry> entries;  // local index
   };
 
   // ---- connections ------------------------------------------------
@@ -217,6 +271,7 @@ struct CounterServer::Impl {
   // ---- state ------------------------------------------------------
 
   ServerOptions opts;
+  counter_value_t inline_max;  ///< default spec's max_value()
   std::shared_ptr<LoopShared> shared = std::make_shared<LoopShared>();
   std::vector<Shard> shards;
   std::shared_ptr<CompletionExecutor> executor;
@@ -259,7 +314,8 @@ struct CounterServer::Impl {
       s_journal_records{0}, s_journal_bytes{0}, s_sessions{0}, s_dedup{0},
       s_slow_consumer{0}, s_shutdown_replies{0};
 
-  explicit Impl(ServerOptions o) : opts(std::move(o)) {
+  explicit Impl(ServerOptions o)
+      : opts(std::move(o)), inline_max(checked_default_max(opts.default_spec)) {
     if (opts.shards == 0) opts.shards = 1;
     if (opts.max_sessions == 0) opts.max_sessions = 1;
     shards.resize(opts.shards);
@@ -298,45 +354,60 @@ struct CounterServer::Impl {
     return &shards[shard].entries[idx];
   }
 
-  std::size_t shard_of(std::string_view name) const {
-    return std::hash<std::string_view>{}(name) % shards.size();
+  static HashedName hashed(std::string_view name) {
+    return {name, std::hash<std::string_view>{}(name)};
   }
 
   /// Current id of a named counter, 0 when unknown.
-  std::uint64_t id_of_entry(std::string_view name) const {
-    const Shard& sh = shards[shard_of(name)];
-    const auto it = sh.names.find(std::string(name));
+  std::uint64_t find_id(const HashedName& key) const {
+    const Shard& sh = shards[key.hash % shards.size()];
+    const auto it = sh.names.find(key);
     return it == sh.names.end() ? 0 : it->second;
   }
 
-  /// The shared open path (wire Open, snapshot restore, journal
-  /// replay): returns the existing entry for `name` or creates one
-  /// with `spec` (empty = default).  nullptr = the spec failed to
-  /// parse — the caller decides whether that is kBadRequest (wire) or
-  /// a skip (restore of a spec written by a newer binary).
-  Entry* find_or_create(std::string_view name, std::string_view spec) {
-    Shard& sh = shards[shard_of(name)];
-    if (auto it = sh.names.find(std::string(name)); it != sh.names.end()) {
-      return entry_of(it->second);
-    }
+  /// Creates the counter `key` names (not yet open) with `spec` (empty
+  /// = default) and returns its id.  0 = the spec failed to parse —
+  /// the caller decides whether that is kBadRequest (wire) or a skip
+  /// (restore of a spec written by a newer binary).  A default-spec
+  /// counter gets no engine here; see engine().
+  std::uint64_t create(const HashedName& key, std::string_view spec) {
     Entry entry;
-    entry.name = std::string(name);
-    entry.spec =
-        spec.empty() ? opts.default_spec : std::string(spec);
-    try {
-      // The shared executor is ambient: every logical counter's
-      // completions drain through one pool, so a million counters do
-      // not mean a million threads.
-      entry.counter = make_counter(entry.spec, executor);
-    } catch (const std::invalid_argument&) {
-      return nullptr;
+    entry.name = std::string(key.name);
+    entry.spec = spec.empty() ? opts.default_spec : std::string(spec);
+    if (entry.spec != opts.default_spec) {
+      try {
+        entry.counter = make_counter(entry.spec, executor);
+      } catch (const std::invalid_argument&) {
+        return 0;
+      }
     }
+    const std::size_t shard = key.hash % shards.size();
+    Shard& sh = shards[shard];
+    const std::uint64_t id = id_of(shard, sh.entries.size());
     sh.entries.push_back(std::move(entry));
-    const std::uint64_t id =
-        id_of(shard_of(name), sh.entries.size() - 1);
-    sh.names.emplace(std::string(name), id);
+    sh.names.emplace(Hashed<std::string>{std::string(key.name), key.hash}, id);
     s_counters.fetch_add(1, std::memory_order_relaxed);
-    return entry_of(id);
+    return id;
+  }
+
+  /// The restore-side open path (snapshot, journal replay).
+  std::uint64_t find_or_create(std::string_view name, std::string_view spec) {
+    const HashedName key = hashed(name);
+    const std::uint64_t id = find_id(key);
+    return id != 0 ? id : create(key, spec);
+  }
+
+  /// The entry's engine, built on first need for a default-spec
+  /// counter — a parked wait, a Poison, a per-counter Stats — and
+  /// seeded with the value it held inline.  The shared executor is
+  /// ambient: every logical counter's completions drain through one
+  /// pool, so a million counters do not mean a million threads.
+  AnyCounter& engine(Entry& entry) {
+    if (entry.counter == nullptr) {
+      entry.counter = make_counter(entry.spec, executor);
+      if (entry.applied > 0) entry.counter->Increment(entry.applied);
+    }
+    return *entry.counter;
   }
 
   // ---- lifecycle --------------------------------------------------
@@ -354,7 +425,7 @@ struct CounterServer::Impl {
     // partially restored name table.
     if (persist()) restore_state();
     if (opts.drain_on_sigterm) {
-      g_sigterm_pending = 0;
+      g_sigterm_pending.store(0, std::memory_order_relaxed);
       g_sigterm_wake_fd.store(wake_w, std::memory_order_relaxed);
       struct sigaction sa{};
       sa.sa_handler = sigterm_handler;
@@ -384,11 +455,12 @@ struct CounterServer::Impl {
       epoch.store(snap.epoch + 1, std::memory_order_relaxed);
       generation = snap.generation;
       for (const CounterRecord& rec : snap.counters) {
-        Entry* entry = find_or_create(rec.name, rec.spec);
-        if (entry == nullptr) continue;  // spec no longer parses: skip
-        id_map[rec.id] = id_of_entry(rec.name);
-        if (rec.value > 0) entry->counter->Increment(rec.value);
-        if (rec.poisoned) poison_entry(*entry, rec.poison_reason);
+        const std::uint64_t id = find_or_create(rec.name, rec.spec);
+        if (id == 0) continue;  // spec no longer parses: skip
+        id_map[rec.id] = id;
+        Entry& entry = *entry_of(id);
+        if (rec.value > 0) entry.add(rec.value);
+        if (rec.poisoned) poison_entry(entry, rec.poison_reason);
       }
       for (const SessionRecord& rec : snap.sessions) {
         Session& s = touch_session(rec.hi, rec.lo);
@@ -400,21 +472,21 @@ struct CounterServer::Impl {
       for (const JournalRecord& rec : records) {
         switch (rec.op) {
           case JournalOp::kOpen: {
-            Entry* entry = find_or_create(rec.name, rec.spec);
-            if (entry != nullptr) id_map[rec.id] = id_of_entry(rec.name);
+            const std::uint64_t id = find_or_create(rec.name, rec.spec);
+            if (id != 0) id_map[rec.id] = id;
             break;
           }
           case JournalOp::kIncrement: {
             auto it = id_map.find(rec.id);
             if (it == id_map.end()) break;
             Entry* entry = entry_of(it->second);
-            if (entry == nullptr || entry->counter->poisoned()) break;
+            if (entry == nullptr || entry->poisoned()) break;
             if ((rec.session_hi | rec.session_lo) != 0) {
               Session& s = touch_session(rec.session_hi, rec.session_lo);
               if (s.window.seen(rec.seq)) break;  // snapshot had it
               s.window.record(rec.seq);
             }
-            entry->counter->Increment(rec.amount);
+            entry->add(rec.amount);
             break;
           }
           case JournalOp::kPoison: {
@@ -439,7 +511,7 @@ struct CounterServer::Impl {
   /// for the next snapshot.
   void poison_entry(Entry& entry, const std::string& reason) {
     entry.poison_reason = reason;
-    entry.counter->Poison(std::make_exception_ptr(CounterPoisonedError(
+    engine(entry).Poison(std::make_exception_ptr(CounterPoisonedError(
         reason.empty() ? "poisoned via wire" : reason)));
   }
 
@@ -490,8 +562,8 @@ struct CounterServer::Impl {
         rec.id = id_of(sh, i);
         rec.name = entry.name;
         rec.spec = entry.spec;
-        rec.value = entry.counter->value_lower_bound();
-        rec.poisoned = entry.counter->poisoned();
+        rec.value = entry.value();
+        rec.poisoned = entry.poisoned();
         rec.poison_reason = entry.poison_reason;
         snap.counters.push_back(std::move(rec));
       }
@@ -663,7 +735,8 @@ struct CounterServer::Impl {
       reap_dead();
 
       if (drain_requested.load(std::memory_order_relaxed) ||
-          (opts.drain_on_sigterm && g_sigterm_pending != 0)) {
+          (opts.drain_on_sigterm &&
+           g_sigterm_pending.load(std::memory_order_relaxed) != 0)) {
         perform_drain();
         break;
       }
@@ -887,7 +960,8 @@ struct CounterServer::Impl {
     if (!r.get_str16(name) || !r.get_str16(spec) || name.empty()) {
       return bad_request(conn, req_id, "Open: want name+spec, non-empty name");
     }
-    std::uint64_t id = id_of_entry(name);
+    const HashedName key = hashed(name);
+    std::uint64_t id = find_id(key);
     if (id == 0) {
       // Fresh create (reopen returns the same id, spec ignored —
       // names are the identity).
@@ -897,19 +971,19 @@ struct CounterServer::Impl {
         return respond_message(conn, Status::kOverloaded, req_id,
                                "counter limit reached");
       }
-      Entry* created = find_or_create(name, spec);
-      if (created == nullptr) {
+      id = create(key, spec);
+      if (id == 0) {
         return bad_request(conn, req_id,
                            "Open: unparseable spec '" + std::string(spec) +
                                "'");
       }
-      id = id_of_entry(name);
-      journal_append(journal_open_body(id, name, created->spec));
+      if (persist()) {
+        journal_append(journal_open_body(id, name, entry_of(id)->spec));
+      }
     }
-    Entry* entry = entry_of(id);
     std::string body;
     put_u64(body, id);
-    put_u64(body, entry->counter->value_lower_bound());
+    put_u64(body, entry_of(id)->value());
     respond(conn, Status::kOk, req_id, body);
   }
 
@@ -934,7 +1008,7 @@ struct CounterServer::Impl {
     if (!r.get_str16(name) || name.empty()) {
       return bad_request(conn, req_id, "Resolve: want non-empty name");
     }
-    const std::uint64_t id = id_of_entry(name);
+    const std::uint64_t id = find_id(hashed(name));
     if (id == 0) {
       return respond_message(conn, Status::kUnknownCounter, req_id,
                              "no counter named '" + std::string(name) + "'");
@@ -943,7 +1017,7 @@ struct CounterServer::Impl {
     flush_entry(*entry);
     std::string body;
     put_u64(body, id);
-    put_u64(body, entry->counter->value_lower_bound());
+    put_u64(body, entry->value());
     respond(conn, Status::kOk, req_id, body);
   }
 
@@ -967,7 +1041,7 @@ struct CounterServer::Impl {
       }
       return;
     }
-    if (entry->counter->poisoned()) {
+    if (entry->poisoned()) {
       // The engine absorbs post-poison increments as counted drops;
       // an acked client gets the typed error instead of a silent ok.
       // Checked before dedup on purpose: the seq is NOT recorded, and
@@ -981,7 +1055,7 @@ struct CounterServer::Impl {
     }
     // Refused before the dedup window, journal and ack: once acked, an
     // increment must fit when the tick applies it.
-    if (entry->overflows(amount)) {
+    if (entry->overflows(amount, inline_max)) {
       if (ack) {
         bad_request(conn, req_id,
                     "Increment: overflows counter '" + entry->name + "'");
@@ -1014,7 +1088,7 @@ struct CounterServer::Impl {
   /// applies its pending sum first.
   void flush_entry(Entry& entry) {
     if (entry.pending > 0) {
-      entry.counter->Increment(std::exchange(entry.pending, 0));
+      entry.add(std::exchange(entry.pending, 0));
       s_flushes.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -1033,13 +1107,13 @@ struct CounterServer::Impl {
     }
     flush_entry(*entry);
     // Fast path: already reached — answer inline, no registration.
-    const counter_value_t value = entry->counter->value_lower_bound();
+    const counter_value_t value = entry->value();
     if (value >= level) {
       std::string body;
       put_u64(body, value);
       return respond(conn, Status::kReached, req_id, body);
     }
-    if (entry->counter->poisoned()) {
+    if (entry->poisoned()) {
       return respond_message(
           conn, Status::kPoisoned, req_id,
           "counter '" + entry->name + "' poisoned below level");
@@ -1093,7 +1167,7 @@ struct CounterServer::Impl {
     // loop.  A settled (timed-out / disconnected) reg makes the fire
     // a no-op, and the lambdas touch only LoopShared (lifetime note
     // atop this file).
-    entry->counter->OnReach(
+    engine(*entry).OnReach(
         level,
         [sh = shared, reg] {
           if (!reg->claim()) return;
@@ -1199,10 +1273,11 @@ struct CounterServer::Impl {
                              "no counter with id " + std::to_string(id));
     }
     flush_entry(*entry);
-    const CounterStatsSnapshot snap = entry->counter->stats();
+    const AnyCounter& counter = engine(*entry);
+    const CounterStatsSnapshot snap = counter.stats();
     respond_pairs(conn, req_id,
                   {
-                      {"value", entry->counter->value_lower_bound()},
+                      {"value", counter.value_lower_bound()},
                       {"increments", snap.increments},
                       {"checks", snap.checks},
                       {"suspensions", snap.suspensions},
@@ -1216,7 +1291,7 @@ struct CounterServer::Impl {
                       {"degraded_waits", snap.degraded_waits},
                       {"async_completions", snap.async_completions},
                       {"stripe_count", snap.stripe_count},
-                      {"poisoned", entry->counter->poisoned() ? 1u : 0u},
+                      {"poisoned", counter.poisoned() ? 1u : 0u},
                   });
   }
 
@@ -1249,8 +1324,7 @@ struct CounterServer::Impl {
       } else {
         std::string body;
         Entry* entry = entry_of(c.reg->counter_id);
-        put_u64(body, entry != nullptr ? entry->counter->value_lower_bound()
-                                       : c.reg->level);
+        put_u64(body, entry != nullptr ? entry->value() : c.reg->level);
         respond(it->second, Status::kReached, c.reg->req_id, body);
       }
     }
@@ -1276,7 +1350,7 @@ struct CounterServer::Impl {
         continue;
       }
       flush_entry(*entry);
-      const counter_value_t value = entry->counter->value_lower_bound();
+      const counter_value_t value = entry->value();
       if (value >= reg->level) {
         if (reg->claim()) {
           on_loop_claim(*reg);
@@ -1286,7 +1360,7 @@ struct CounterServer::Impl {
         }
         continue;
       }
-      if (entry->counter->poisoned()) {
+      if (entry->poisoned()) {
         if (reg->claim()) {
           on_loop_claim(*reg);
           respond_message(*conn, Status::kPoisoned, reg->req_id,

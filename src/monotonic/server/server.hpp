@@ -4,10 +4,12 @@
 // production story is millions of *users*.  This server is the bridge:
 // one event-loop thread multiplexes any number of client connections
 // (UNIX-domain socket first, optional loopback TCP) over N engine
-// shards, each logical counter a named `make_counter` instance picked
-// by name hash — so "millions of named counters" costs millions of
-// map entries, not millions of threads, and a hot counter still gets
-// the striped value plane and sharded wait index underneath.
+// shards, each logical counter a named entry picked by name hash — so
+// "millions of named counters" costs millions of map entries, not
+// millions of threads.  A counter's `make_counter` engine (striped
+// value plane, sharded wait index) is built when it is first needed:
+// at Open for any spec but the default, and for a default-spec counter
+// only when a wait parks on it, it is poisoned, or its Stats are read.
 //
 // The three engine mechanisms this PR-stack built are exactly the
 // three a server needs, and each is reused rather than reinvented:
@@ -65,8 +67,13 @@ struct ServerOptions {
   bool tcp_any_port = false;
   /// Engine shards: logical counters are distributed by name hash.
   std::size_t shards = 4;
-  /// Spec for counters opened with an empty spec string.  Lean: a parked
-  /// wait is an OnReach registration, so wait-node pools would go unused.
+  /// Spec for counters opened with an empty spec string.  Such a
+  /// counter holds a plain value and builds this engine only when a
+  /// wait parks on it, it is poisoned or its Stats are read.  Lean: a
+  /// parked wait is an OnReach registration, so wait-node pools would
+  /// go unused.  Parsed once by the constructor, which throws
+  /// std::invalid_argument when it does not parse or names a
+  /// "shared:" segment (every default-spec name would alias it).
   std::string default_spec = "hybrid";
   /// Workers of the one completion pool shared by every counter.
   std::size_t executor_threads = 2;
@@ -131,7 +138,7 @@ struct ServerStats {
   std::uint64_t gated_connections = 0;  ///< connections under backpressure
   std::uint64_t overload_rejections = 0;
   std::uint64_t batched_increments = 0; ///< increments absorbed into a batch
-  std::uint64_t flushes = 0;            ///< engine applies (tick + read-side)
+  std::uint64_t flushes = 0;            ///< pending-sum applies (tick + read-side)
   std::uint64_t protocol_errors = 0;    ///< bad frames answered or dropped
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -151,6 +158,7 @@ struct ServerStats {
 /// the process, like parked threads would.
 class CounterServer {
  public:
+  /// Throws std::invalid_argument when options.default_spec is bad.
   explicit CounterServer(ServerOptions options);
   ~CounterServer();
 

@@ -362,6 +362,96 @@ TEST(Recovery, RejectedOverflowNeverReachesTheJournal) {
   ::unlink((o.state_file + ".journal").c_str());
 }
 
+TEST(Recovery, DeferredAndBuiltEnginesRestoreExactly) {
+  // Three default-spec counters: "plain" never builds its engine,
+  // "parked" builds it for a parked Check, "poisoned" for its Poison.
+  ms::ServerOptions o;
+  o.uds_path = unique_path("deferred.sock");
+  o.state_file = unique_path("deferred.state");
+  // Parks `waiter` at `level`, then releases it from a second
+  // connection with an increment of `amount`.
+  auto park_then_release = [&o](ms::CounterServer& server,
+                                ms::ServerClient& waiter, std::uint64_t id,
+                                std::uint64_t level, std::uint64_t amount) {
+    const std::uint64_t rid = waiter.on_reach_async(id, level);
+    for (int i = 0; i < 400 && server.stats().parked_waits == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(server.stats().parked_waits, 1u);
+    ms::ServerClient inc = ms::ServerClient::connect_uds(o.uds_path);
+    inc.increment(id, amount);
+    EXPECT_EQ(waiter.await_reach(rid), level);
+  };
+  {
+    // Phase 1 ends in a drain: its values reach the snapshot.
+    ms::CounterServer server(o);
+    server.Start();
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto plain = c.open("plain");
+    const auto parked = c.open("parked");
+    const auto poisoned = c.open("poisoned");
+    c.increment(plain.id, 3);
+    c.increment(parked.id, 5);
+    c.increment(poisoned.id, 7);
+    park_then_release(server, c, parked.id, 6, 1);
+    server.Drain();
+  }
+  {
+    // Phase 2 restores the snapshot, then crash-stops: its own work
+    // survives only in the journal.
+    ms::CounterServer server(o);
+    server.Start();
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto plain = c.resolve("plain");
+    const auto parked = c.resolve("parked");
+    const auto poisoned = c.resolve("poisoned");
+    EXPECT_EQ(plain.value, 3u);
+    EXPECT_EQ(parked.value, 6u);
+    EXPECT_EQ(poisoned.value, 7u);
+    c.increment(plain.id, 4);
+    park_then_release(server, c, parked.id, 10, 4);
+    c.increment(poisoned.id, 1);
+    c.poison(poisoned.id, "halted at eight");
+    server.Stop();
+  }
+  {
+    // Phase 3: snapshot + journal replay lands every counter exactly.
+    ms::CounterServer server(o);
+    server.Start();
+    EXPECT_EQ(server.stats().restored_counters, 3u);
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    EXPECT_EQ(c.resolve("plain").value, 7u);
+    EXPECT_EQ(c.resolve("parked").value, 10u);
+    const auto poisoned = c.resolve("poisoned");
+    EXPECT_EQ(poisoned.value, 8u);
+    EXPECT_EQ(c.check(poisoned.id, 8), 8u);
+    EXPECT_THROW(c.check(poisoned.id, 9), monotonic::CounterPoisonedError);
+    EXPECT_THROW(c.increment(poisoned.id, 1), monotonic::CounterPoisonedError);
+    server.Stop();
+  }
+  // The compacting snapshot the last Start wrote holds the same state,
+  // poison reason included.
+  ms::StateSnapshot snap;
+  ASSERT_TRUE(ms::load_snapshot(o.state_file, snap));
+  ASSERT_EQ(snap.counters.size(), 3u);
+  for (const ms::CounterRecord& rec : snap.counters) {
+    if (rec.name == "plain") {
+      EXPECT_EQ(rec.value, 7u);
+      EXPECT_FALSE(rec.poisoned);
+    } else if (rec.name == "parked") {
+      EXPECT_EQ(rec.value, 10u);
+      EXPECT_FALSE(rec.poisoned);
+    } else {
+      EXPECT_EQ(rec.name, "poisoned");
+      EXPECT_EQ(rec.value, 8u);
+      EXPECT_TRUE(rec.poisoned);
+      EXPECT_EQ(rec.poison_reason, "halted at eight");
+    }
+  }
+  ::unlink(o.state_file.c_str());
+  ::unlink((o.state_file + ".journal").c_str());
+}
+
 TEST(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
   const std::string sock = unique_path("epoch.sock");
   const std::string state = unique_path("epoch.state");

@@ -280,6 +280,96 @@ TEST(ServerPoison, PropagatesTypedToParkedAndFutureWaiters) {
   EXPECT_EQ(waiter.check(opened.id, 0), 0u);
 }
 
+// ---- deferred engines -----------------------------------------------
+// A default-spec counter holds a plain value until an op needs its
+// engine; each op that builds it must carry the value over exactly.
+
+TEST(ServerDeferredEngine, ParkedCheckReleasedByAnotherConnection) {
+  ServerFixture fx;
+  ms::ServerClient waiter = fx.connect();
+  ms::ServerClient inc = fx.connect();
+  const auto opened = waiter.open("deferred/park");
+  inc.open("deferred/park");
+  inc.increment(opened.id, 5);
+  const std::uint64_t rid = waiter.on_reach_async(opened.id, 8);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().parked_waits == 1; }));
+  EXPECT_EQ(inc.resolve("deferred/park").value, 5u);
+  inc.increment(opened.id, 3);
+  EXPECT_EQ(waiter.await_reach(rid), 8u);
+  EXPECT_EQ(inc.resolve("deferred/park").value, 8u);
+  EXPECT_EQ(inc.stats(opened.id).at("value"), 8u);
+}
+
+TEST(ServerDeferredEngine, TimedOutCheckForKeepsTheValue) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("deferred/timed");
+  c.increment(opened.id, 5);
+  EXPECT_FALSE(c.check_for(opened.id, 9, std::chrono::milliseconds(20)));
+  EXPECT_EQ(c.resolve("deferred/timed").value, 5u);
+  EXPECT_EQ(c.check(opened.id, 0), 5u);
+  c.increment(opened.id, 4);
+  EXPECT_EQ(c.check(opened.id, 9), 9u);
+}
+
+TEST(ServerDeferredEngine, PoisonBelowParkedLevelFreezesTheValue) {
+  ServerFixture fx;
+  ms::ServerClient waiter = fx.connect();
+  ms::ServerClient killer = fx.connect();
+  const auto opened = waiter.open("deferred/poison");
+  killer.increment(opened.id, 5);
+  const std::uint64_t rid = waiter.on_reach_async(opened.id, 10);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().parked_waits == 1; }));
+  killer.poison(opened.id, "stopped at five");
+  EXPECT_THROW(waiter.await_reach(rid), CounterPoisonedError);
+  EXPECT_THROW(killer.increment(opened.id, 1), CounterPoisonedError);
+  EXPECT_EQ(waiter.check(opened.id, 5), 5u);
+  EXPECT_EQ(waiter.resolve("deferred/poison").value, 5u);
+  const auto st = waiter.stats(opened.id);
+  EXPECT_EQ(st.at("value"), 5u);
+  EXPECT_EQ(st.at("poisoned"), 1u);
+}
+
+TEST(ServerDeferredEngine, PerCounterStatsKeepsTheValue) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("deferred/stats");
+  c.increment(opened.id, 5);
+  c.increment(opened.id, 2);
+  EXPECT_EQ(c.stats(opened.id).at("value"), 7u);
+  c.increment(opened.id, 3);
+  EXPECT_EQ(c.resolve("deferred/stats").value, 10u);
+  EXPECT_EQ(c.stats(opened.id).at("value"), 10u);
+}
+
+TEST(ServerDeferredEngine, UnparseableDefaultSpecIsRejectedUpFront) {
+  ms::ServerOptions opts;
+  opts.default_spec = "no-such-kind";
+  try {
+    ms::CounterServer server(opts);
+    FAIL() << "a default spec that does not parse must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'no-such-kind'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServerDeferredEngine, SharedDefaultSpecIsRejectedUpFront) {
+  ms::ServerOptions opts;
+  opts.default_spec = "shared:/mc_server_test_default";
+  try {
+    ms::CounterServer server(opts);
+    FAIL() << "a shared: default spec would alias every default-spec name";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shared:/mc_server_test_default"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- overload policy triple ----------------------------------------
 
 TEST(ServerOverload, ThrowPolicyAnswersOverloaded) {
@@ -529,6 +619,27 @@ TEST(ServerFootprint, DefaultSpecCountersStayLean) {
   // Client-side name bookkeeping is in the figure too.  A counter with
   // a 64-node wait pool costs ~17 KB.
   EXPECT_LT((after > before ? after - before : 0) / kCounters, 2048u);
+}
+
+TEST(ServerFootprint, UnwaitedCountersHoldNoEngine) {
+  if (kSanitized) GTEST_SKIP() << "RSS is not measurable under a sanitizer";
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  c.open("warm-up");
+  constexpr std::size_t kCounters = 20'000;
+  const std::size_t before = rss_bytes();
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    const std::string name = "unwaited/" + std::to_string(i);
+    const auto opened = c.open(name);
+    c.increment(opened.id, 1);
+    ASSERT_EQ(c.resolve(name).value, 1u);
+    ASSERT_EQ(c.check(opened.id, 0), 1u);
+  }
+  const std::size_t after = rss_bytes();
+  EXPECT_EQ(c.stats().at("counters_open"), kCounters + 1);
+  // Client-side name bookkeeping is in the figure too.  A counter that
+  // builds its "hybrid" engine at Open costs ~1.2 KB.
+  EXPECT_LT((after > before ? after - before : 0) / kCounters, 512u);
 }
 
 // ---- multi-process integration -------------------------------------
