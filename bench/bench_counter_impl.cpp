@@ -338,15 +338,16 @@ void overload_storm() {
 void overload_storm_scaled() {
   const std::size_t kArmed = g_quick ? 10'000 : 1'000'000;
   banner("E12.b", "scaled storm: " + std::to_string(kArmed) +
-                      " open-loop armed waiters, heap wait plane");
+                      " open-loop armed waiters, 1 vs 8 index shards");
   note("Past ~10k the storm cannot be real threads; each armed waiter\n"
-       "is an OnReach registration at its own level — the same wait-\n"
-       "plane node a parked thread would hold.  The heap index arms in\n"
-       "O(log L); the single Increment peels all L levels ascending in\n"
-       "one bulk pass.  (The §7 list would pay O(L^2) to arm this\n"
-       "ascending sequence — E13 charts that wall.)");
+       "is an OnReach registration at its own level — the same level-\n"
+       "index node a parked thread would hold.  The index arms in\n"
+       "O(log L); the single Increment releases all L levels ascending\n"
+       "in one bulk pass.  'hybrid' is the default one shard;\n"
+       "'waitplane=heap:8' splits the levels over eight shards: this\n"
+       "bulk wake is the row where more than one shard wins.");
   TextTable table({"spec", "arm ms", "wake ms", "ns/wake"});
-  for (const char* spec : {"hybrid,waitplane=heap:8"}) {
+  for (const char* spec : {"hybrid", "hybrid,waitplane=heap:8"}) {
     auto c = make_counter(std::string_view(spec));
     std::atomic<std::size_t> fired{0};
     const auto t0 = std::chrono::steady_clock::now();
@@ -374,13 +375,13 @@ void overload_storm_scaled() {
 }
 
 void wait_plane_scaling() {
-  banner("E13", "wait-plane scaling: marginal arm + bulk wake vs live levels");
-  note("L live levels are built by open-loop OnReach arming (descending,\n"
-       "so the §7 list pays O(1) per insert — ascending would be the\n"
-       "O(L^2) wall).  'arm us' is the marginal cost of arming a fresh\n"
-       "interior level: the list walks O(L) nodes to find its slot, the\n"
-       "heap index sifts O(log L).  'wake ns' is the per-level cost of\n"
-       "the one Increment that releases everything.");
+  banner("E13", "level-index scaling: marginal arm + bulk wake vs live levels");
+  note("L live levels are built by open-loop OnReach arming (descending:\n"
+       "the order in which §7's ordered list inserts at its head).  'arm\n"
+       "us' is the marginal cost of arming a fresh interior level, an\n"
+       "O(log(L/S)) sift in one of S shards.  'wake ns' is the per-level\n"
+       "cost of the one Increment that releases everything.  'hybrid'\n"
+       "is the default one shard, 'waitplane=heap:8' eight shards.");
   TextTable table({"impl", "levels", "build ms", "arm us", "wake ns"});
   const std::vector<std::size_t> sizes =
       g_quick ? std::vector<std::size_t>{1'000, 10'000}
@@ -466,8 +467,8 @@ DetachedTask bench_await_one(AnyCounter& c, counter_value_t level,
 void completion_scaling() {
   banner("E15", "logical-waiter scaling: co_await / OnReach / parked threads");
   note("The same wait — N waiters at N distinct levels, one bulk\n"
-       "release — expressed three ways.  co_await and OnReach arm heap-\n"
-       "plane callback nodes (bytes per waiter), so they scale to 10^6;\n"
+       "release — expressed three ways.  co_await and OnReach arm level-\n"
+       "index callback nodes (bytes per waiter), so they scale to 10^6;\n"
        "parked threads carry megabytes of stack each, so that row stops\n"
        "at 1000 and exists to show WHY the completion plane is the cheap\n"
        "way to be a million waiters.");
@@ -589,8 +590,8 @@ int main(int argc, char** argv) {
   // Runs in quick mode too: --quick shrinks the storm to 512 waiters.
   monotonic::overload_storm();
   // E12.b scales the storm to 1M open-loop armed waiters (quick: 10k);
-  // E13 charts arm/wake latency against the live-level count for both
-  // wait planes (quick caps the axis at 10^4).
+  // E13 charts arm/wake latency against the live-level count at 1 and
+  // 8 index shards (quick caps the axis at 10^4).
   monotonic::overload_storm_scaled();
   monotonic::wait_plane_scaling();
   // E15: the completion plane — logical-waiter scaling and the

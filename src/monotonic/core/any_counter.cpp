@@ -83,8 +83,8 @@ std::string_view counter_spec_help() {
          "preallocates N wait nodes (default 64; bare 'pooled' = "
          "pooled+hybrid); base opts: pool=0|1, pool_size=N, "
          "max_waiters=N, max_levels=N, overload=throw|spin|block, "
-         "waitplane=list|heap[:S] (S = level shards of the heap wait "
-         "plane, 1..64), "
+         "waitplane=heap:S (S = level shards of the wait index, "
+         "1..64; bare list|heap = one shard), "
          "executor=inline|pool[:N] (where OnReach callbacks run: inline "
          "on the incrementing thread — the default — or a completion "
          "thread pool of N workers, default 1); "
@@ -333,14 +333,11 @@ BaseConfig parse_base(const SpecPart& part, const ShardPrefix& shard,
                    "' is not throw|spin|block");
       }
     } else if (key == "waitplane") {
-      // waitplane=list | waitplane=heap[:S] — the WaitIndex seam.
-      // Only the heap plane shards, so a ":S" suffix on 'list' is a
-      // named error, not silently ignored.
-      if (value == "list") {
-        cfg.options.wait_plane = WaitPlaneKind::kList;
-        cfg.options.wait_shards = 0;
-      } else if (value == "heap") {
-        cfg.options.wait_plane = WaitPlaneKind::kHeap;
+      // waitplane=heap:S shards the level index.  Bare 'list' and
+      // 'heap' mean the default one shard: state files recorded before
+      // the list plane was removed still name them.  The list never
+      // sharded, so 'list:S' stays a named error.
+      if (value == "list" || value == "heap") {
         cfg.options.wait_shards = 0;
       } else if (value.rfind("heap:", 0) == 0) {
         const std::uint64_t n =
@@ -353,7 +350,6 @@ BaseConfig parse_base(const SpecPart& part, const ShardPrefix& shard,
                      std::to_string(kMaxWaitShards) +
                      ", like the striped plane's stripe clamp)");
         }
-        cfg.options.wait_plane = WaitPlaneKind::kHeap;
         cfg.options.wait_shards = static_cast<std::size_t>(n);
       } else if (value.rfind("list:", 0) == 0) {
         spec_error("'waitplane=" + value +
@@ -444,13 +440,10 @@ std::string canonical_base(const BaseConfig& cfg) {
       out += ",overload=block";
       break;
   }
-  if (cfg.options.wait_plane == WaitPlaneKind::kHeap) {
+  if (cfg.options.wait_shards != 0) {
     // Mirrors the stripe rule: an explicit shard count always prints,
     // the default (one shard) never does.
-    out += ",waitplane=heap";
-    if (cfg.options.wait_shards != 0) {
-      out += ':' + std::to_string(cfg.options.wait_shards);
-    }
+    out += ",waitplane=heap:" + std::to_string(cfg.options.wait_shards);
   }
   if (cfg.executor_pool_threads != 0) {
     // The worker count always prints (even the bare-"pool" default 1):

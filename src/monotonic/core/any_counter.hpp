@@ -29,9 +29,9 @@
 //               0 = unbounded), overload=throw|spin|block (what an
 //               over-cap waiter gets: CounterOverloadedError, the
 //               allocation-free degraded wait, or the admission gate),
-//               waitplane=list|heap[:S]            (the WaitIndex seam:
-//               §7's ordered list, or the sharded hierarchical level
-//               index with S level shards, 1..64 — see wait_list.hpp)
+//               waitplane=heap:S                   (S level shards of
+//               the wait index, 1..64 — see wait_index.hpp; bare
+//               list|heap = the default one shard)
 //   decorators: traced                             (Tracer events)
 //               batching  [batch=N, default 64]    (amortized Increment)
 //               broadcast [shards=N, default 4]    (sharded wait lists)

@@ -80,9 +80,9 @@ void CounterStats::reset() noexcept {
 
 TextTable counter_stats_table(
     const std::vector<std::pair<std::string, CounterStatsSnapshot>>& rows) {
-  // A row is "value-sharded" when its plane has stripes, "wait-sharded"
-  // when its wait plane runs the heap index (more than one shard, or a
-  // recorded index depth — a 1-shard heap still indexes).  Each column
+  // A row is "value-sharded" when its plane has stripes, "wait-indexed"
+  // when its level index has more than one shard or a recorded depth
+  // (it has parked a waiter).  Each column
   // group appears only when at least one row needs it, and within an
   // extended table, rows a group does not apply to print "-" instead
   // of a zero that reads like a measurement.

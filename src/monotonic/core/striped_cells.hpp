@@ -40,14 +40,13 @@
 // array is a fixed-size allocation made once per counter, not per
 // waiter.
 //
-// The argument is also wait-plane-representation-free.  The waiter's
-// side of the pairing is "store(watermark=L) under m_, then sum" —
-// nothing in it depends on HOW the wait plane computed L.  With the
-// §7 ordered list L is the head's level (O(1)); with the sharded
-// level index (WaitPlaneKind::kHeap, wait_index.hpp) L is the minimum
-// over the shards' heap roots (an O(S) scan, still under m_).  Both
-// feed the same seq_cst rearm store, so swapping the representation
-// cannot reintroduce the store-buffering window — the sim scenario
+// The argument is also free of how the wait plane stores its levels.
+// The waiter's side of the pairing is "store(watermark=L) under m_,
+// then sum" — nothing in it depends on HOW the wait plane computed L.
+// With the level index (wait_index.hpp) L is the minimum over the
+// shards' heap roots (an O(S) scan, still under m_), and it feeds the
+// same seq_cst rearm store whatever the shard count, so sharding cannot
+// reintroduce the store-buffering window — the sim scenario
 // heap_cross_shard_wake explores exactly the cross-shard case.
 #pragma once
 

@@ -1,26 +1,29 @@
-// wait_index.hpp — the hierarchical level index behind the wait
-// plane's heap variant (WaitPlaneKind::kHeap, wait_list.hpp).
+// wait_index.hpp — the level index behind the wait plane and the
+// OnReach callback index (wait_list.hpp).
 //
 // The paper's §7 structure is an ordered linked list of level nodes:
 // O(live levels) to join a new level, O(1) min-level, O(released
-// levels) to release a prefix.  That walk is exactly what caps the
-// overload-storm bench at ~10k armed waiters — arming L levels in
-// ascending order costs O(L^2) pointer chases.  This header provides
-// the replacement representation: per shard,
+// levels) to release a prefix.  That walk caps the overload-storm
+// bench at ~10k armed waiters — arming L levels in ascending order
+// costs O(L^2) pointer chases.  This header keeps the list's contract
+// with a different representation: per shard,
 //
 //   * an intrusive array binary min-heap of (level, node) entries,
 //     ordered by level, with a `heap_pos` back-link stored in the node
 //     so an arbitrary node (a timed-out waiter's) erases in O(log L);
 //     and
-//   * a flat open-addressing hash table (linear probing, power-of-two
+//   * once the shard holds more than kScanLevels levels, a flat
+//     open-addressing hash table (linear probing, power-of-two
 //     capacity, backward-shift deletion) from level to node, so
 //     join-or-insert finds an existing level in O(1) expected instead
-//     of walking the order.  A node-based std::unordered_map would
-//     cost one allocation per armed level and one scattered free per
-//     woken one — at 10^6 levels those frees alone dominated the bulk
-//     wake (they interleave with the wait-node allocations, so every
-//     free is a cold miss).  The flat table probes one cache line,
-//     clears by dropping one array, and never allocates per level.
+//     of walking the order.  Below that, `find` scans the heap array:
+//     a few adjacent entries beat a hash probe, and a counter that only
+//     ever parks on a handful of levels never allocates a table.  A
+//     node-based std::unordered_map would cost one allocation per armed
+//     level and one scattered free per woken one — at 10^6 levels those
+//     frees alone dominated the bulk wake.  The flat table probes one
+//     cache line, clears by dropping one array, and never allocates per
+//     level.
 //
 // The level is stored IN the heap array, not read through the node:
 // sift compares at a million live levels are then loads from one
@@ -31,37 +34,62 @@
 //
 // The heap keeps the §7 contract observable: the minimum level is the
 // root (O(1) — the striped plane's watermark needs exactly this), and
-// releasing "all levels <= value" peels ascending minima, so waiters
+// releasing "all levels <= value" visits ascending minima, so waiters
 // are still released in level order and released nodes are still
 // exactly the ascending prefix of the live set.
 //
-// Sharding (wait_list.hpp picks a shard by `level % shards`) bounds
-// each heap's depth at O(log(L/S)); cross-shard operations (min-level,
-// ascending peel) scan the S roots, which is O(S) with S <= 64 — the
-// same small-linear-scan trade the striped value plane makes.
+// Sharding (LevelIndex picks a shard by `level % shards`) bounds each
+// heap's depth at O(log(L/S)); cross-shard operations (min-level,
+// ascending release) scan the S roots, which is O(S) with S <= 64 —
+// the same small-linear-scan trade the striped value plane makes.  One
+// shard is the default; E12.b's million-level storm is where more win.
 //
 // Locking: none here.  Every member requires the owning counter's
-// mutex, exactly like the list representation it replaces.
+// mutex.
 //
-// Exception safety: `link` is the only member that allocates (a table
-// rehash, and the heap array growth).  It takes an allocation hook the
-// caller points at Env::alloc_point so fault environments can inject
-// bad_alloc at each site, and it unwinds to the exact pre-call state:
-// the rehash builds the grown table aside and swaps, the table entry
-// is only placed after the heap push succeeded, and the node is never
-// observable half-linked.  Everything else is noexcept.
+// Exception safety: `link` is the only member that allocates (building
+// or growing the table, and the heap array growth).  It takes an
+// allocation hook the caller points at Env::alloc_point so fault
+// environments can inject bad_alloc at each site, and it unwinds to the
+// exact pre-call state: the table is built aside and swapped in, the
+// table entry is only placed after the heap push succeeded, and the
+// node is never observable half-linked.  Everything else is noexcept.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "monotonic/support/assert.hpp"
 #include "monotonic/support/config.hpp"
 
+namespace monotonic {
+
+/// Watermark sentinel: "no level is armed".  Strictly above every legal
+/// level (lock-free value planes cap levels at max >> 1, and Check
+/// REQUIREs that), so the engine's `sum >= watermark` test needs no
+/// special case for the empty wait list.
+inline constexpr counter_value_t kNoArmedLevel =
+    std::numeric_limits<counter_value_t>::max();
+
+/// Level-index shard cap, mirroring the striped value plane's [1, 64]
+/// stripe clamp: every cross-shard operation is an O(S) scan, and the
+/// bulk-wake merge keeps one cursor per shard on the stack.
+inline constexpr std::size_t kMaxWaitShards = 64;
+
+}  // namespace monotonic
+
 namespace monotonic::detail {
+
+/// Bulk-wake crossover: a release that visits more than this many
+/// levels stops popping minima one by one (O(log L) scattered sifts
+/// each) and switches to sort-merge-discard over the shard arrays —
+/// see LevelShard's bulk-drain block.
+inline constexpr std::size_t kBulkWakeThreshold = 64;
 
 /// One shard of the level index.  `Node` must expose
 /// `counter_value_t level` and `std::size_t heap_pos` (the intrusive
@@ -69,9 +97,15 @@ namespace monotonic::detail {
 template <typename Node>
 class LevelShard {
  public:
-  /// O(1) expected: the node for `level`, or nullptr.
+  /// The node for `level`, or nullptr: a scan of at most kScanLevels
+  /// heap entries while the shard has no table, O(1) expected after.
   Node* find(counter_value_t level) const noexcept {
-    if (table_.empty()) return nullptr;
+    if (table_.empty()) {
+      for (const Entry& entry : heap_) {
+        if (entry.level == level) return entry.node;
+      }
+      return nullptr;
+    }
     const std::size_t mask = table_.size() - 1;
     std::size_t i = slot_hash(level) & mask;
     while (table_[i].node != nullptr) {
@@ -89,18 +123,13 @@ class LevelShard {
   /// is untouched, still owned by the caller.
   template <typename AllocHook>
   void link(Node* node, AllocHook&& alloc_hook) {
-    alloc_hook();       // fault hook: the table may rehash
-    ensure_capacity();  // builds the grown table aside, then swaps
+    alloc_hook();       // fault hook: the table may be built or grow
+    ensure_capacity();  // builds the table aside, then swaps
     alloc_hook();       // fault hook: the heap array may grow
     heap_.push_back(Entry{node->level, node});
-    place(table_, Slot{node->level, node});  // noexcept from here on
+    if (!table_.empty()) place(table_, Slot{node->level, node});
     node->heap_pos = heap_.size() - 1;
     sift_up(node->heap_pos);
-  }
-
-  /// The minimum-level node (the heap root), or nullptr when empty.
-  Node* min() const noexcept {
-    return heap_.empty() ? nullptr : heap_[0].node;
   }
 
   /// The root's level without touching the node (the watermark scan
@@ -119,7 +148,7 @@ class LevelShard {
     const std::size_t pos = node->heap_pos;
     MC_ASSERT(pos < heap_.size() && heap_[pos].node == node,
               "level-index back-link corrupt");
-    erase_slot(node->level);
+    if (!table_.empty()) erase_slot(node->level);
     Entry last = heap_.back();
     heap_.pop_back();
     if (pos == heap_.size()) return;  // erased the tail itself
@@ -131,7 +160,6 @@ class LevelShard {
   }
 
   bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
 
   // --- Bulk drain (the big-wake fast path) -------------------------
   //
@@ -215,8 +243,8 @@ class LevelShard {
   /// table entries with them, and re-bases the survivors' back-links.
   /// A full drain drops the table outright (one deallocation — storage
   /// shrinks back to O(live levels) after a storm); a partial one
-  /// rebuilds it from the survivors in a single pass, which past the
-  /// bulk crossover beats r backward-shift erases.
+  /// rebuilds any table from the survivors in a single pass, which past
+  /// the bulk crossover beats r backward-shift erases.
   void discard_prefix(std::size_t r) noexcept {
     if (r == 0) return;
     if (r == heap_.size()) {
@@ -229,7 +257,7 @@ class LevelShard {
     for (Slot& slot : table_) slot.node = nullptr;
     for (std::size_t i = 0; i < heap_.size(); ++i) {
       heap_[i].node->heap_pos = i;
-      place(table_, Slot{heap_[i].level, heap_[i].node});
+      if (!table_.empty()) place(table_, Slot{heap_[i].level, heap_[i].node});
     }
   }
 
@@ -277,16 +305,17 @@ class LevelShard {
     table[i] = slot;
   }
 
-  /// Grows the table when the next insert would push load past 1/2,
-  /// and keeps the radix scratch reserved ahead of the live-level
-  /// count so the bulk drain never allocates.  Strong guarantee: the
-  /// grown table is built aside and swapped in.
+  /// Builds the table when the next insert is the (kScanLevels+1)-th
+  /// level, grows it when the insert would push load past 1/2, and
+  /// keeps the radix scratch reserved ahead of the live-level count so
+  /// the bulk drain never allocates.  Strong guarantee: the new table
+  /// is built aside from the heap entries and swapped in.
   void ensure_capacity() {
-    if (table_.empty() || (heap_.size() + 1) * 2 > table_.size()) {
-      const std::size_t cap = std::max<std::size_t>(16, table_.size() * 2);
-      std::vector<Slot> grown(cap, Slot{0, nullptr});
-      for (const Slot& slot : table_) {
-        if (slot.node != nullptr) place(grown, slot);
+    const std::size_t n = heap_.size() + 1;  // live levels after the link
+    if (table_.empty() ? n > kScanLevels : n * 2 > table_.size()) {
+      std::vector<Slot> grown(std::bit_ceil(n * 2), Slot{0, nullptr});
+      for (const Entry& entry : heap_) {
+        place(grown, Slot{entry.level, entry.node});
       }
       table_.swap(grown);
     }
@@ -350,31 +379,137 @@ class LevelShard {
     entry.node->heap_pos = i;
   }
 
+  /// Levels a shard indexes by scanning its heap array; the table is
+  /// built when one more links.  Eight entries are two cache lines.
+  static constexpr std::size_t kScanLevels = 8;
+
   /// Introsort-vs-radix crossover for sort_ascending (entries; 4096 of
   /// them is 64 KiB — comfortably cache-resident for introsort).
   static constexpr std::size_t kRadixMinSort = 4096;
 
   std::vector<Entry> heap_;     // array binary min-heap by level
-  std::vector<Slot> table_;     // flat level->node index (join lookup)
+  std::vector<Slot> table_;     // level->node index; empty while scanning
   std::vector<Entry> scratch_;  // radix ping-pong buffer (bulk drain)
 };
 
-/// The shard with the globally minimal root, or nullptr when every
-/// shard is empty.  O(S) — the cross-shard scan sharding buys its
-/// per-shard depth bound with.
+/// The whole level index: S shards, level % S picks a level's shard.
+/// Both the wait plane and the OnReach index are one of these.
 template <typename Node>
-LevelShard<Node>* min_level_shard(std::vector<LevelShard<Node>>& shards) {
-  LevelShard<Node>* best = nullptr;
-  counter_value_t best_level = 0;
-  for (auto& shard : shards) {
-    if (shard.empty()) continue;
-    const counter_value_t level = shard.min_level();
-    if (best == nullptr || level < best_level) {
-      best = &shard;
-      best_level = level;
-    }
+class LevelIndex {
+ public:
+  /// `shards` is clamped to [1, kMaxWaitShards]; 0 means one shard.
+  explicit LevelIndex(std::size_t shards)
+      : shards_(std::clamp<std::size_t>(shards, 1, kMaxWaitShards)) {}
+
+  std::size_t shard_count() const noexcept { return shards_.size(); }
+
+  bool empty() const noexcept { return min_shard() == nullptr; }
+
+  /// Lowest linked level, or kNoArmedLevel when empty.  O(S).
+  counter_value_t min_level() const noexcept {
+    const LevelShard<Node>* shard = min_shard();
+    return shard != nullptr ? shard->min_level() : kNoArmedLevel;
   }
-  return best;
-}
+
+  Node* find(counter_value_t level) const noexcept {
+    return shard_for(level).find(level);
+  }
+
+  /// Links a node `find` did not return, with LevelShard::link's
+  /// strong guarantee.  Returns the shard's depth afterwards.
+  template <typename AllocHook>
+  std::size_t link(Node* node, AllocHook&& alloc_hook) {
+    LevelShard<Node>& shard = shard_for(node->level);
+    shard.link(node, alloc_hook);
+    return shard.depth();
+  }
+
+  void erase(Node* node) noexcept { shard_for(node->level).erase(node); }
+
+  /// Unlinks every node with level <= value and hands each to
+  /// `per_node` in ascending level order; returns how many.  The first
+  /// kBulkWakeThreshold pop the minimum shard root one by one; the rest
+  /// drain by sorting each shard's array, k-way merging the sorted
+  /// prefixes, then discarding them.  Allocation-free: the merge keeps
+  /// one cursor per shard on the stack.  `per_node` must not call back
+  /// into the index (back-links are stale mid-drain).
+  template <typename PerNode>
+  std::size_t release(counter_value_t value, PerNode&& per_node) {
+    std::size_t released = 0;
+    for (; released < kBulkWakeThreshold; ++released) {
+      LevelShard<Node>* shard = min_shard();
+      if (shard == nullptr || shard->min_level() > value) return released;
+      per_node(shard->pop_min());
+    }
+    if (min_level() > value) return released;
+    const std::size_t nshards = shards_.size();
+    std::array<std::size_t, kMaxWaitShards> cursor{};
+    std::array<std::size_t, kMaxWaitShards> end{};
+    for (std::size_t i = 0; i < nshards; ++i) {
+      shards_[i].sort_ascending();
+      end[i] = shards_[i].split(value);
+    }
+    for (;;) {
+      std::size_t best = nshards;
+      counter_value_t best_level = 0;
+      for (std::size_t i = 0; i < nshards; ++i) {
+        if (cursor[i] == end[i]) continue;
+        const counter_value_t level = shards_[i].level_at(cursor[i]);
+        if (best == nshards || level < best_level) {
+          best = i;
+          best_level = level;
+        }
+      }
+      if (best == nshards) break;
+      // The nodes themselves are scattered; pull the one we'll touch a
+      // few iterations from now while this one's miss is in flight.
+      if (cursor[best] + 8 < end[best]) {
+        __builtin_prefetch(shards_[best].node_at(cursor[best] + 8), 1);
+      }
+      per_node(shards_[best].node_at(cursor[best]++));
+      ++released;
+    }
+    for (std::size_t i = 0; i < nshards; ++i) {
+      shards_[i].discard_prefix(end[i]);
+    }
+    return released;
+  }
+
+  /// Visits every linked node, in no particular order.  `fn` may
+  /// delete the node (the destructor sweep does).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& shard : shards_) shard.for_each(fn);
+  }
+
+ private:
+  LevelShard<Node>& shard_for(counter_value_t level) {
+    return shards_[static_cast<std::size_t>(level) % shards_.size()];
+  }
+  const LevelShard<Node>& shard_for(counter_value_t level) const {
+    return shards_[static_cast<std::size_t>(level) % shards_.size()];
+  }
+
+  LevelShard<Node>* min_shard() noexcept { return min_shard_of(shards_); }
+  const LevelShard<Node>* min_shard() const noexcept {
+    return min_shard_of(shards_);
+  }
+
+  /// The shard with the globally minimal root, or nullptr when every
+  /// shard is empty.  O(S).
+  template <typename Shards>
+  static auto* min_shard_of(Shards& shards) noexcept {
+    decltype(&shards[0]) best = nullptr;
+    for (auto& shard : shards) {
+      if (!shard.empty() &&
+          (best == nullptr || shard.min_level() < best->min_level())) {
+        best = &shard;
+      }
+    }
+    return best;
+  }
+
+  std::vector<LevelShard<Node>> shards_;
+};
 
 }  // namespace monotonic::detail

@@ -15,28 +15,19 @@
 //     policy plugs in (a condition variable, a futex word, a spin
 //     flag); the list itself never blocks or wakes anybody.
 //
-//     Two interchangeable representations sit behind one API
-//     (WaitListOptions::wait_plane — the WaitIndex seam):
-//
-//       kList (default)  §7's ordered linked list, verbatim: O(live
-//                        levels) join, O(1) min-level, prefix release
-//                        by popping the head.
-//       kHeap            the sharded hierarchical level index
-//                        (wait_index.hpp): per shard an intrusive
-//                        array min-heap plus a level hash, giving
-//                        O(log L) join-or-insert, O(S) min-level, and
-//                        bulk release of all levels <= value as an
-//                        ascending peel of shard roots.  Shards are
-//                        picked by level % wait_shards.
-//
-//     Both keep the §7 contract bit-for-bit at the API: waiters are
-//     released in ascending level order, released nodes are exactly
-//     the set of levels <= value, and storage stays O(live levels).
+//     The nodes live in the level index (wait_index.hpp) rather than in
+//     §7's linked list: per shard an intrusive array min-heap, plus a
+//     level hash once more than a few levels are live, giving O(log L)
+//     join-or-insert, O(S) min-level, and bulk release of all levels
+//     <= value as an ascending peel.  One shard by default
+//     (WaitListOptions::wait_shards picks more).  The §7 contract holds
+//     at the API: waiters are released in ascending level order,
+//     released nodes are exactly the set of levels <= value, and
+//     storage stays O(live levels).
 //
 //   * CallbackList       — the OnReach async-check analogue: one node
-//     per level with registered callbacks, same ordering discipline
-//     and the same two representations, released prefixes carried out
-//     of the lock and run there (CP.22).
+//     per level with registered callbacks in the same kind of index,
+//     released prefixes carried out of the lock and run there (CP.22).
 //
 // Every member function that touches list state requires the owning
 // counter's mutex to be held; the classes are lock-agnostic on purpose
@@ -44,13 +35,11 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -64,13 +53,6 @@
 #include "monotonic/support/config.hpp"
 
 namespace monotonic {
-
-/// Watermark sentinel: "no level is armed".  Strictly above every legal
-/// level (lock-free value planes cap levels at max >> 1, and Check
-/// REQUIREs that), so the engine's `sum >= watermark` test needs no
-/// special case for the empty wait list.
-inline constexpr counter_value_t kNoArmedLevel =
-    std::numeric_limits<counter_value_t>::max();
 
 /// One ordered (level, waiters) pair per live wait node — the shape
 /// Figure 2 draws, shared by every implementation's debug_snapshot().
@@ -87,42 +69,16 @@ struct CounterDebugSnapshot {
   std::vector<counter_value_t> callback_levels;  // ascending
 };
 
-/// Which representation the wait plane (and the OnReach callback
-/// index) uses — the WaitIndex seam.  Selected at construction, spec
-/// token `waitplane=list|heap[:S]`.  (Declared ahead of
-/// CounterStallReport, which names the plane it reports on.)
-enum class WaitPlaneKind : std::uint8_t {
-  /// The paper's §7 ordered linked list.  O(live levels) to join a new
-  /// level; unbeatable constant factors below a few hundred levels.
-  kList,
-  /// The sharded hierarchical level index (wait_index.hpp): O(log L)
-  /// join, bulk wake as an ascending peel.  The million-waiter plane.
-  kHeap,
-};
-
-constexpr const char* to_string(WaitPlaneKind kind) noexcept {
-  switch (kind) {
-    case WaitPlaneKind::kList:
-      return "list";
-    case WaitPlaneKind::kHeap:
-      return "heap";
-  }
-  return "?";
-}
-
 /// Diagnostic snapshot handed to the stall watchdog: which level the
 /// stuck waiter wants, how long it has been parked, the full wait-list
-/// shape at the moment of the report, and which wait plane (kind +
-/// shard count) the stuck waiter is parked on — a heap-plane stall
-/// and a list-plane stall point at different suspects, and the report
-/// was previously ambiguous between them.
+/// shape at the moment of the report, and how many shards the wait
+/// index it is parked on has.
 struct CounterStallReport {
   counter_value_t value;                    ///< current counter value
   counter_value_t level;                    ///< level the waiter wants
   std::chrono::milliseconds waited;         ///< how long it has waited
   std::vector<DebugWaitLevel> wait_levels;  ///< ascending, like Figure 2
-  WaitPlaneKind wait_plane = WaitPlaneKind::kList;  ///< plane representation
-  std::size_t wait_shards = 1;              ///< plane shards (1 = unsharded)
+  std::size_t wait_shards = 1;              ///< wait-index shards
 };
 
 /// What the engine does with a waiter that bounded admission
@@ -147,18 +103,7 @@ enum class OverloadPolicy : std::uint8_t {
   kBlockIncrementers,
 };
 
-/// Heap-plane shard cap, mirroring the striped value plane's [1, 64]
-/// stripe clamp: every cross-shard operation is an O(S) scan, and the
-/// bulk-wake merge keeps one cursor per shard on the stack.
-inline constexpr std::size_t kMaxWaitShards = 64;
-
 namespace detail {
-/// Bulk-wake crossover: a release that peels more than this many
-/// levels stops popping minima one by one (O(log L) scattered sifts
-/// each) and switches to sort-merge-discard over the shard arrays —
-/// see LevelShard's bulk-drain block (wait_index.hpp).
-inline constexpr std::size_t kBulkWakeThreshold = 64;
-
 /// kSpinFallback relock-poll pacing (degraded_wait_locked in
 /// basic_counter.hpp).  The first kDegradedSpinProbes probes ride the
 /// environment spinner so a waiter denied admission during a short
@@ -230,12 +175,8 @@ struct WaitListOptions {
   /// automatically from hardware_concurrency (rounded up to a power of
   /// two, clamped to [1, 64]).  Ignored by unsharded counters.
   std::size_t stripes = 0;
-  /// Wait-plane representation (the WaitIndex seam): the §7 ordered
-  /// list, or the sharded level index.  Spec token
-  /// "waitplane=list|heap[:S]".
-  WaitPlaneKind wait_plane = WaitPlaneKind::kList;
-  /// Heap wait plane only: number of level shards (level % S picks the
-  /// shard).  0 = 1 shard.  Ignored by the list plane.
+  /// Number of level shards in the wait and OnReach indexes (level % S
+  /// picks the shard).  0 = 1 shard.  Spec token "waitplane=heap:S".
   std::size_t wait_shards = 0;
   /// Async completion plane (completion.hpp): where detached OnReach /
   /// predicate callback chains run.  Null (the default) delivers
@@ -255,26 +196,19 @@ struct WaitListOptions {
 /// released, the poison sweep, the index linking or peeling a level —
 /// are decision points the simulation harness interleaves at;
 /// RealEngineEnv compiles them away.
-///
-/// The representation behind the API is chosen at construction by
-/// WaitListOptions::wait_plane (see WaitPlaneKind).  The default kList
-/// path executes the exact pre-seam instruction and schedule-point
-/// sequence, so committed simulation seeds replay bit-identically.
 template <typename Signal, typename Env = RealEngineEnv>
 class WaitList {
  public:
   // One node per distinct level with waiters (§7 / Figure 2):
-  // {level, count, signal, link}.  Cache-line aligned: a node's signal
-  // is hammered by its own waiters (futex word, spin flag, condvar
-  // state) while neighbouring nodes' waiters hammer theirs — without
-  // the alignment, pool-recycled nodes end up packed shoulder to
-  // shoulder and every wake false-shares with the next level over.
+  // {level, count, signal}.  Cache-line aligned: a node's signal is
+  // hammered by its own waiters (futex word, spin flag, condvar state)
+  // while neighbouring nodes' waiters hammer theirs — without the
+  // alignment, pool-recycled nodes end up packed shoulder to shoulder
+  // and every wake false-shares with the next level over.
   //
-  // `next` links the kList order (and the pool free list in both
-  // modes); `heap_pos` is the kHeap intrusive back-link.  Policies
-  // never touch either — they see level/waiters/released/aborted/
-  // signal only, which is what makes the representation swappable
-  // underneath all five of them.
+  // `next` links the pool free list; `heap_pos` is the level index's
+  // intrusive back-link.  Policies never touch either — they see
+  // level/waiters/released/aborted/signal only.
   struct alignas(kCacheLineSize) Node {
     counter_value_t level = 0;
     std::size_t waiters = 0;
@@ -282,18 +216,12 @@ class WaitList {
     bool aborted = false;   // wake cause: true = poisoned, not reached
     Signal signal;
     Node* next = nullptr;
-    std::size_t heap_pos = 0;  // kHeap: index into the shard heap
+    std::size_t heap_pos = 0;
   };
 
   WaitList(const WaitListOptions& options, CounterStats& stats)
-      : options_(options),
-        stats_(stats),
-        kind_(options.wait_plane),
-        shards_(kind_ == WaitPlaneKind::kHeap
-                    ? std::clamp<std::size_t>(options.wait_shards, 1,
-                                              kMaxWaitShards)
-                    : 0) {
-    stats_.set_wait_shard_count(shards_.empty() ? 1 : shards_.size());
+      : options_(options), stats_(stats), index_(options.wait_shards) {
+    stats_.set_wait_shard_count(index_.shard_count());
     // Preallocation failures surface here, at construction, where the
     // caller expects allocation — never later from a hot Check.  The
     // pool-disabled ablation (pool_nodes = false) preallocates nothing:
@@ -316,71 +244,41 @@ class WaitList {
 
   bool empty() const noexcept { return live_level_count_ == 0; }
 
-  /// Which representation this plane runs (WaitIndex seam).
-  WaitPlaneKind kind() const noexcept { return kind_; }
-  /// Resolved shard count: 1 for the list plane.
+  /// Resolved shard count of the level index.
   std::size_t wait_shard_count() const noexcept {
-    return shards_.empty() ? 1 : shards_.size();
+    return index_.shard_count();
   }
 
   /// Lowest level with a parked waiter, or kNoArmedLevel when none —
-  /// O(1) off the list head, O(S) across the shard heap roots.  Feeds
-  /// the striped value plane's watermark: the value returned here is
-  /// published seq_cst by the plane's rearm, so the Dekker argument
-  /// (striped_cells.hpp) is representation-independent — only WHERE
-  /// the minimum is read changes, not how it is published.
-  counter_value_t min_level() const noexcept {
-    if (kind_ == WaitPlaneKind::kList) {
-      return head_ != nullptr ? head_->level : kNoArmedLevel;
-    }
-    counter_value_t lowest = kNoArmedLevel;
-    for (const auto& shard : shards_) {
-      if (!shard.empty() && shard.min_level() < lowest) {
-        lowest = shard.min_level();
-      }
-    }
-    return lowest;
-  }
+  /// O(S) across the shard heap roots.  Feeds the striped value plane's
+  /// watermark: the value returned here is published seq_cst by the
+  /// plane's rearm (striped_cells.hpp).
+  counter_value_t min_level() const noexcept { return index_.min_level(); }
 
   /// Joins the queue for `level`, creating and linking a node if this
   /// is the first waiter at that level.  Registers the caller
   /// (++waiters) so the node cannot be freed underneath it.
   ///
   /// Strong exception guarantee: the operations that can throw — the
-  /// node allocation, and on the heap plane the index link (each
-  /// preceded by Env::alloc_point, so injected faults cover every
-  /// site) — run BEFORE any observable mutation, or unwind it — on
-  /// throw the list, waiter counts and admission stats are exactly as
-  /// before the call.  The engine relies on this to translate the
-  /// failure into CounterResourceError with the counter still usable.
+  /// node allocation and the index link (each preceded by
+  /// Env::alloc_point, so injected faults cover every site) — run
+  /// BEFORE any observable mutation, or unwind it — on throw the list,
+  /// waiter counts and admission stats are exactly as before the call.
+  /// The engine relies on this to translate the failure into
+  /// CounterResourceError with the counter still usable.
   Node* acquire(counter_value_t level) {
     Env::point(SchedulePoint::kPark);
-    Node* node;
-    if (kind_ == WaitPlaneKind::kList) {
-      Node** pos = find_insert_position(level);
-      if (*pos != nullptr && (*pos)->level == level) {
-        node = *pos;  // join the existing queue for this level
-      } else {
-        node = allocate_node(level);  // may throw; nothing mutated yet
-        node->next = *pos;
-        *pos = node;
-        ++live_level_count_;
+    Node* node = index_.find(level);  // join the existing queue, if any
+    if (node == nullptr) {
+      node = allocate_node(level);  // may throw; nothing mutated yet
+      Env::point(SchedulePoint::kIndexLink);
+      try {
+        stats_.on_index_depth(index_.link(node, [] { Env::alloc_point(); }));
+      } catch (...) {
+        recycle(node);  // unwound to the pre-call state
+        throw;
       }
-    } else {
-      auto& shard = shard_for(level);
-      node = shard.find(level);  // O(1) expected join lookup
-      if (node == nullptr) {
-        node = allocate_node(level);  // may throw; nothing mutated yet
-        Env::point(SchedulePoint::kIndexLink);
-        try {
-          shard.link(node, [] { Env::alloc_point(); });
-        } catch (...) {
-          recycle(node);  // unwound to the pre-call state
-          throw;
-        }
-        ++live_level_count_;
-        stats_.on_index_depth(shard.depth());
-      }
+      ++live_level_count_;
     }
     ++node->waiters;
     ++waiter_count_;
@@ -390,15 +288,15 @@ class WaitList {
   /// Bounded-admission probe (engine mutex held): would admitting one
   /// more waiter at `level` exceed max_waiters, or require a new node
   /// beyond max_levels?  Joining an existing level never violates the
-  /// level bound, so the level check walks the (ascending, bounded by
-  /// max_levels) list — or asks the shard hash — only when the bound
+  /// level bound, so the level check asks the index only when the bound
   /// is live.
   bool admission_would_exceed(counter_value_t level) const {
     if (options_.max_waiters != 0 && waiter_count_ >= options_.max_waiters) {
       return true;
     }
     if (options_.max_levels != 0 &&
-        live_level_count_ >= options_.max_levels && !has_level(level)) {
+        live_level_count_ >= options_.max_levels &&
+        index_.find(level) == nullptr) {
       return true;
     }
     return false;
@@ -427,60 +325,26 @@ class WaitList {
     MC_ASSERT(waiter_count_ > 0, "waiter accounting underflow");
     --waiter_count_;
     if (--node->waiters > 0) return;
-    if (!node->released) unlink(node);
+    if (!node->released) {
+      index_.erase(node);
+      MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
+      --live_level_count_;
+    }
     recycle(node);
   }
 
   /// §7: "removes all nodes with levels less than or equal to the new
-  /// counter value from the waiting list."  Ascending in both modes:
-  /// the list pops its head, the index peels the global-minimum shard
-  /// root — so this touches O(released levels) nodes (times O(S) for
-  /// the root scan), never the whole structure and never individual
-  /// waiters.  `on_release(Node&)` is the policy's wake hook, called
-  /// once per node with the owning lock still held (a released node
-  /// may only be freed by its last waiter, and waiters cannot run
-  /// until the lock drops, so the node is guaranteed alive inside the
-  /// hook).
+  /// counter value from the waiting list."  Ascending: the index peels
+  /// the global-minimum shard root, or sort-merges past the bulk
+  /// crossover — so this touches O(released levels) nodes, never the
+  /// whole structure and never individual waiters.  `on_release(Node&)`
+  /// is the policy's wake hook, called once per node with the owning
+  /// lock still held (a released node may only be freed by its last
+  /// waiter, and waiters cannot run until the lock drops, so the node
+  /// is guaranteed alive inside the hook).
   template <typename OnRelease>
   void release_prefix(counter_value_t value, OnRelease&& on_release) {
-    std::size_t released_levels = 0;
-    if (kind_ == WaitPlaneKind::kList) {
-      while (head_ != nullptr && head_->level <= value) {
-        Env::point(SchedulePoint::kWake);
-        Node* node = head_;
-        head_ = node->next;
-        node->released = true;
-        MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
-        --live_level_count_;
-        stats_.on_wakeups(node->waiters);
-        on_release(*node);
-        ++released_levels;
-      }
-    } else {
-      // Small wakes peel minima; past the crossover the rest of the
-      // prefix drains via sort-merge (see drain_heap_sorted).
-      while (released_levels < detail::kBulkWakeThreshold) {
-        auto* shard = detail::min_level_shard(shards_);
-        if (shard == nullptr || shard->min_level() > value) break;
-        Env::point(SchedulePoint::kIndexPeel);
-        Env::point(SchedulePoint::kWake);
-        Node* node = shard->pop_min();
-        node->released = true;
-        MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
-        --live_level_count_;
-        stats_.on_wakeups(node->waiters);
-        on_release(*node);
-        ++released_levels;
-      }
-      released_levels += drain_heap_sorted(value, [&](Node* node) {
-        node->released = true;
-        MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
-        --live_level_count_;
-        stats_.on_wakeups(node->waiters);
-        on_release(*node);
-      });
-    }
-    if (released_levels > 1) stats_.on_bulk_wake();
+    release(value, /*aborted=*/false, on_release);
   }
 
   /// Poison path: unlinks and wakes EVERY node regardless of level,
@@ -490,100 +354,15 @@ class WaitList {
   /// release_prefix.
   template <typename OnRelease>
   void abort_all(OnRelease&& on_release) {
-    std::size_t released_levels = 0;
-    if (kind_ == WaitPlaneKind::kList) {
-      while (head_ != nullptr) {
-        Env::point(SchedulePoint::kWake);
-        Node* node = head_;
-        head_ = node->next;
-        node->released = true;
-        node->aborted = true;
-        MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
-        --live_level_count_;
-        stats_.on_aborted_wakeups(node->waiters);
-        on_release(*node);
-        ++released_levels;
-      }
-    } else {
-      // The poison sweep releases everything: straight to the sorted
-      // bulk drain (kNoArmedLevel is above every legal level).
-      released_levels += drain_heap_sorted(kNoArmedLevel, [&](Node* node) {
-        node->released = true;
-        node->aborted = true;
-        MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
-        --live_level_count_;
-        stats_.on_aborted_wakeups(node->waiters);
-        on_release(*node);
-      });
-    }
-    if (released_levels > 1) stats_.on_bulk_wake();
-  }
-
-  /// The bulk half of the heap plane's prefix release: sorts each
-  /// shard's entry array ascending in place, k-way merges the S sorted
-  /// prefixes so `per_node` still sees global level order, then
-  /// discards each prefix in one pass (wait_index.hpp documents why
-  /// this beats repeated pop_min at scale).  No-op when nothing is
-  /// left at or below `value`.  Allocation-free: the merge keeps one
-  /// cursor per shard on the stack (shards are clamped to
-  /// kMaxWaitShards).
-  template <typename PerNode>
-  std::size_t drain_heap_sorted(counter_value_t value, PerNode&& per_node) {
-    {
-      auto* shard = detail::min_level_shard(shards_);
-      if (shard == nullptr || shard->min_level() > value) return 0;
-    }
-    const std::size_t nshards = shards_.size();
-    std::array<std::size_t, kMaxWaitShards> cursor{};
-    std::array<std::size_t, kMaxWaitShards> end{};
-    for (std::size_t i = 0; i < nshards; ++i) {
-      shards_[i].sort_ascending();
-      end[i] = shards_[i].split(value);
-    }
-    std::size_t released = 0;
-    for (;;) {
-      std::size_t best = nshards;
-      counter_value_t best_level = 0;
-      for (std::size_t i = 0; i < nshards; ++i) {
-        if (cursor[i] == end[i]) continue;
-        const counter_value_t level = shards_[i].level_at(cursor[i]);
-        if (best == nshards || level < best_level) {
-          best = i;
-          best_level = level;
-        }
-      }
-      if (best == nshards) break;
-      Env::point(SchedulePoint::kIndexPeel);
-      Env::point(SchedulePoint::kWake);
-      // The nodes themselves are scattered; pull the one we'll touch a
-      // few iterations from now while this one's miss is in flight.
-      if (cursor[best] + 8 < end[best]) {
-        __builtin_prefetch(shards_[best].node_at(cursor[best] + 8), 1);
-      }
-      per_node(shards_[best].node_at(cursor[best]));
-      ++cursor[best];
-      ++released;
-    }
-    for (std::size_t i = 0; i < nshards; ++i) {
-      shards_[i].discard_prefix(end[i]);
-    }
-    return released;
+    release(kNoArmedLevel, /*aborted=*/true, on_release);
   }
 
   /// Appends one (level, waiters) entry per live node, ascending.
   void snapshot_into(std::vector<DebugWaitLevel>& out) const {
-    if (kind_ == WaitPlaneKind::kList) {
-      for (Node* node = head_; node != nullptr; node = node->next) {
-        out.push_back(DebugWaitLevel{node->level, node->waiters});
-      }
-      return;
-    }
     const std::size_t first = out.size();
-    for (const auto& shard : shards_) {
-      shard.for_each([&](Node* node) {
-        out.push_back(DebugWaitLevel{node->level, node->waiters});
-      });
-    }
+    index_.for_each([&](Node* node) {
+      out.push_back(DebugWaitLevel{node->level, node->waiters});
+    });
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
               [](const DebugWaitLevel& a, const DebugWaitLevel& b) {
                 return a.level < b.level;
@@ -591,28 +370,24 @@ class WaitList {
   }
 
  private:
-  detail::LevelShard<Node>& shard_for(counter_value_t level) {
-    return shards_[static_cast<std::size_t>(level) % shards_.size()];
-  }
-  const detail::LevelShard<Node>& shard_for(counter_value_t level) const {
-    return shards_[static_cast<std::size_t>(level) % shards_.size()];
-  }
-
-  Node** find_insert_position(counter_value_t level) {
-    Node** pos = &head_;
-    while (*pos != nullptr && (*pos)->level < level) pos = &(*pos)->next;
-    return pos;
-  }
-
-  bool has_level(counter_value_t level) const {
-    if (kind_ == WaitPlaneKind::kHeap) {
-      return shard_for(level).find(level) != nullptr;
-    }
-    for (Node* node = head_; node != nullptr && node->level <= level;
-         node = node->next) {
-      if (node->level == level) return true;
-    }
-    return false;
+  template <typename OnRelease>
+  void release(counter_value_t value, bool aborted, OnRelease& on_release) {
+    const std::size_t released_levels =
+        index_.release(value, [&](Node* node) {
+          Env::point(SchedulePoint::kIndexPeel);
+          Env::point(SchedulePoint::kWake);
+          node->released = true;
+          node->aborted = aborted;
+          MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
+          --live_level_count_;
+          if (aborted) {
+            stats_.on_aborted_wakeups(node->waiters);
+          } else {
+            stats_.on_wakeups(node->waiters);
+          }
+          on_release(*node);
+        });
+    if (released_levels > 1) stats_.on_bulk_wake();
   }
 
   Node* allocate_node(counter_value_t level) {
@@ -636,18 +411,6 @@ class WaitList {
     node->heap_pos = 0;
     stats_.on_node_allocated(from_pool);
     return node;
-  }
-
-  void unlink(Node* node) {
-    if (kind_ == WaitPlaneKind::kList) {
-      Node** pos = &head_;
-      while (*pos != node) pos = &(*pos)->next;
-      *pos = node->next;
-    } else {
-      shard_for(node->level).erase(node);
-    }
-    MC_ASSERT(live_level_count_ > 0, "level accounting underflow");
-    --live_level_count_;
   }
 
   void recycle(Node* node) {
@@ -677,25 +440,23 @@ class WaitList {
 
   const WaitListOptions options_;
   CounterStats& stats_;
-  const WaitPlaneKind kind_;   // which representation (WaitIndex seam)
-  Node* head_ = nullptr;       // kList: ascending by level; levels > value
-  std::vector<detail::LevelShard<Node>> shards_;  // kHeap: the level index
-  Node* free_list_ = nullptr;  // node pool (options_.pool_nodes)
+  detail::LevelIndex<Node> index_;  // live nodes, levels > value
+  Node* free_list_ = nullptr;       // node pool (options_.pool_nodes)
   std::size_t pool_size_ = 0;
   std::size_t waiter_count_ = 0;      // registered waiters (admission)
   std::size_t live_level_count_ = 0;  // linked nodes (admission)
 };
 
-/// One node per level with registered OnReach callbacks; same ordering
-/// discipline and the same two representations as WaitList (the
-/// engine passes its wait-plane configuration down, so a heap-plane
-/// counter indexes a million OnReach levels at the same O(log L) its
-/// parked waiters get), but released nodes are detached under the lock
-/// and executed outside it (CP.22: callbacks may re-enter this or any
-/// other counter).  Templated over the engine environment for the same
-/// reason WaitList is: its allocations (node + entry vector + index
-/// link) run under the engine mutex, so they are fault-injection
-/// points (Env::alloc_point) the strong-guarantee audit must cover.
+/// One node per level with registered OnReach callbacks, in the same
+/// level index as WaitList (the engine passes its shard count down, so
+/// a many-level counter indexes a million OnReach levels at the same
+/// O(log L) its parked waiters get), but released nodes are detached
+/// under the lock and executed outside it (CP.22: callbacks may
+/// re-enter this or any other counter).  Templated over the engine
+/// environment for the same reason WaitList is: its allocations (node +
+/// entry vector + index link) run under the engine mutex, so they are
+/// fault-injection points (Env::alloc_point) the strong-guarantee audit
+/// must cover.
 template <typename Env = RealEngineEnv>
 class CallbackListT {
  public:
@@ -710,106 +471,53 @@ class CallbackListT {
   struct Node {
     counter_value_t level = 0;
     std::vector<Entry> callbacks;
-    Node* next = nullptr;
-    std::size_t heap_pos = 0;  // kHeap: index into the shard heap
+    Node* next = nullptr;      // detached-chain link
+    std::size_t heap_pos = 0;  // level-index back-link
   };
 
-  /// Default: the §7 ordered list (the pre-seam shape).  The engine
-  /// passes its WaitListOptions wait-plane selection so both indices
-  /// share one representation.
-  explicit CallbackListT(WaitPlaneKind kind = WaitPlaneKind::kList,
-                         std::size_t shards = 1)
-      : kind_(kind),
-        shards_(kind == WaitPlaneKind::kHeap
-                    ? std::clamp<std::size_t>(shards, 1, kMaxWaitShards)
-                    : 0) {}
+  explicit CallbackListT(std::size_t shards = 1) : index_(shards) {}
 
   /// Unreached callbacks are dropped, not run: running "reached level
   /// L" callbacks for a level that was never reached would be a lie.
   /// (Poisoning, by contrast, detaches them and delivers the error —
   /// see detach_all / run_chain_error.)
   ~CallbackListT() {
-    while (head_ != nullptr) {
-      Node* node = head_;
-      head_ = node->next;
-      delete node;
-    }
-    for (auto& shard : shards_) {
-      std::vector<Node*> doomed;
-      doomed.reserve(shard.size());
-      shard.for_each([&](Node* node) { doomed.push_back(node); });
-      for (Node* node : doomed) delete node;
-    }
+    index_.for_each([](Node* node) { delete node; });
   }
 
   CallbackListT(const CallbackListT&) = delete;
   CallbackListT& operator=(const CallbackListT&) = delete;
 
-  bool empty() const noexcept {
-    if (kind_ == WaitPlaneKind::kList) return head_ == nullptr;
-    for (const auto& shard : shards_) {
-      if (!shard.empty()) return false;
-    }
-    return true;
-  }
+  bool empty() const noexcept { return index_.empty(); }
 
   /// Lowest level with a registered callback, or kNoArmedLevel when
   /// none (mirrors WaitList::min_level for the watermark computation).
-  counter_value_t min_level() const noexcept {
-    if (kind_ == WaitPlaneKind::kList) {
-      return head_ != nullptr ? head_->level : kNoArmedLevel;
-    }
-    counter_value_t lowest = kNoArmedLevel;
-    for (const auto& shard : shards_) {
-      if (!shard.empty() && shard.min_level() < lowest) {
-        lowest = shard.min_level();
-      }
-    }
-    return lowest;
-  }
+  counter_value_t min_level() const noexcept { return index_.min_level(); }
 
   /// Inserts into the level index, joining an existing level node if
   /// present (mirrors the wait list).
   ///
   /// Strong exception guarantee: every allocation point — growing an
   /// existing node's entry vector, creating a new node, or linking it
-  /// into the heap index — runs before the node is (or stays) visible
-  /// in a partially-updated state.  push_back itself is strong, a
+  /// into the index — runs before the node is (or stays) visible in a
+  /// partially-updated state.  push_back itself is strong, a
   /// freshly-allocated node is only linked after its entry is in
   /// place, and a failed index link deletes the unlinked node — so a
   /// bad_alloc (real or injected at Env::alloc_point) leaves the list
   /// exactly as it was.
   void insert(counter_value_t level, std::function<void()> fn,
               std::function<void(std::exception_ptr)> on_error = {}) {
-    if (kind_ == WaitPlaneKind::kList) {
-      Node** pos = &head_;
-      while (*pos != nullptr && (*pos)->level < level) pos = &(*pos)->next;
-      if (*pos != nullptr && (*pos)->level == level) {
-        Env::alloc_point();  // fault hook: may throw std::bad_alloc
-        (*pos)->callbacks.push_back(Entry{std::move(fn), std::move(on_error)});
-      } else {
-        Env::alloc_point();  // fault hook: may throw std::bad_alloc
-        auto* node = new Node();
-        node->level = level;
-        node->callbacks.push_back(Entry{std::move(fn), std::move(on_error)});
-        node->next = *pos;
-        *pos = node;
-      }
-      return;
-    }
-    auto& shard = shard_for(level);
-    Node* node = shard.find(level);
+    Node* node = index_.find(level);
+    Env::alloc_point();  // fault hook: may throw std::bad_alloc
     if (node != nullptr) {
-      Env::alloc_point();  // fault hook: may throw std::bad_alloc
       node->callbacks.push_back(Entry{std::move(fn), std::move(on_error)});
       return;
     }
-    Env::alloc_point();  // fault hook: may throw std::bad_alloc
     node = new Node();
     try {
       node->level = level;
       node->callbacks.push_back(Entry{std::move(fn), std::move(on_error)});
-      shard.link(node, [] { Env::alloc_point(); });
+      index_.link(node, [] { Env::alloc_point(); });
     } catch (...) {
       delete node;  // never linked; index unwound to pre-call state
       throw;
@@ -817,53 +525,23 @@ class CallbackListT {
   }
 
   /// Detaches the nodes with level <= value and returns them as an
-  /// ascending chain; the caller runs the chain after dropping the
-  /// lock.
+  /// ascending chain (run_chain's "across levels, in level order"
+  /// contract); the caller runs the chain after dropping the lock.
   Node* detach_reached(counter_value_t value) {
     Node* head = nullptr;
     Node** tail = &head;
-    if (kind_ == WaitPlaneKind::kList) {
-      while (head_ != nullptr && head_->level <= value) {
-        Node* node = head_;
-        head_ = node->next;
-        node->next = nullptr;
-        *tail = node;
-        tail = &node->next;
-      }
-      return head;
-    }
-    std::size_t detached = 0;
-    while (detached < detail::kBulkWakeThreshold) {
-      auto* shard = detail::min_level_shard(shards_);
-      if (shard == nullptr || shard->min_level() > value) break;
-      Node* node = shard->pop_min();
+    index_.release(value, [&](Node* node) {
       node->next = nullptr;
       *tail = node;
       tail = &node->next;
-      ++detached;
-    }
-    // Big wakes drain the rest via sort-merge, exactly like the wait
-    // list's drain_heap_sorted — the chain stays globally ascending,
-    // which run_chain's "across levels, in level order" contract
-    // requires.
-    drain_sorted_into(value, tail);
+    });
     return head;
   }
 
   /// Poison path: detaches every remaining node (all have level >
   /// value by invariant, so none was reached), ascending.  The caller
   /// delivers the chain to run_chain_error after dropping the lock.
-  Node* detach_all() {
-    if (kind_ == WaitPlaneKind::kList) {
-      Node* head = head_;
-      head_ = nullptr;
-      return head;
-    }
-    Node* head = nullptr;
-    Node** tail = &head;
-    drain_sorted_into(kNoArmedLevel, tail);
-    return head;
-  }
+  Node* detach_all() { return detach_reached(kNoArmedLevel); }
 
   /// Runs and frees a detached chain.  Must be called with no counter
   /// lock held.  Callbacks for one level run in registration order;
@@ -892,76 +570,16 @@ class CallbackListT {
   }
 
   void snapshot_into(std::vector<counter_value_t>& out) const {
-    if (kind_ == WaitPlaneKind::kList) {
-      for (Node* node = head_; node != nullptr; node = node->next) {
-        out.push_back(node->level);
-      }
-      return;
-    }
     const std::size_t first = out.size();
-    for (const auto& shard : shards_) {
-      shard.for_each([&](Node* node) { out.push_back(node->level); });
-    }
+    index_.for_each([&](Node* node) { out.push_back(node->level); });
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
   }
 
  private:
-  detail::LevelShard<Node>& shard_for(counter_value_t level) {
-    return shards_[static_cast<std::size_t>(level) % shards_.size()];
-  }
-
-  /// Bulk half of detach_reached/detach_all: sort each shard's entry
-  /// array, k-way merge the sorted prefixes onto the chain at `tail`
-  /// in global level order, discard the prefixes.  `tail` must point
-  /// at the chain's terminating next-slot; it is advanced past every
-  /// appended node.  No-op when nothing is at or below `value`.
-  void drain_sorted_into(counter_value_t value, Node**& tail) {
-    {
-      auto* shard = detail::min_level_shard(shards_);
-      if (shard == nullptr || shard->min_level() > value) return;
-    }
-    const std::size_t nshards = shards_.size();
-    std::array<std::size_t, kMaxWaitShards> cursor{};
-    std::array<std::size_t, kMaxWaitShards> end{};
-    for (std::size_t i = 0; i < nshards; ++i) {
-      shards_[i].sort_ascending();
-      end[i] = shards_[i].split(value);
-    }
-    for (;;) {
-      std::size_t best = nshards;
-      counter_value_t best_level = 0;
-      for (std::size_t i = 0; i < nshards; ++i) {
-        if (cursor[i] == end[i]) continue;
-        const counter_value_t level = shards_[i].level_at(cursor[i]);
-        if (best == nshards || level < best_level) {
-          best = i;
-          best_level = level;
-        }
-      }
-      if (best == nshards) break;
-      Node* node = shards_[best].node_at(cursor[best]);
-      // Same prefetch trade as drain_heap_sorted: hide the next-node
-      // miss behind this one's chain append.
-      if (cursor[best] + 8 < end[best]) {
-        __builtin_prefetch(shards_[best].node_at(cursor[best] + 8), 1);
-      }
-      node->next = nullptr;
-      *tail = node;
-      tail = &node->next;
-      ++cursor[best];
-    }
-    for (std::size_t i = 0; i < nshards; ++i) {
-      shards_[i].discard_prefix(end[i]);
-    }
-  }
-
-  const WaitPlaneKind kind_;
-  Node* head_ = nullptr;  // kList: ascending by level; levels > value
-  std::vector<detail::LevelShard<Node>> shards_;  // kHeap: the level index
+  detail::LevelIndex<Node> index_;  // levels > value
 };
 
-/// Production alias — the pre-seam type, with the fault hook inlined
-/// away (RealEngineEnv::alloc_point is an empty function).
+/// Production alias, with the fault hook inlined away (RealEngineEnv::alloc_point is an empty function).
 using CallbackList = CallbackListT<>;
 
 }  // namespace monotonic

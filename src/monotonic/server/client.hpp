@@ -133,7 +133,7 @@ class ServerClient {
   static ServerClient connect_uds(const std::string& path,
                                   ClientOptions opts = {}) {
     ServerClient c(std::move(opts));
-    c.kind_ = Endpoint::kUds;
+    c.endpoint_ = Endpoint::kUds;
     c.uds_path_ = path;
     c.fd_ = c.dial(c.opts_.connect_timeout);
     c.first_hello();
@@ -142,7 +142,7 @@ class ServerClient {
 
   static ServerClient connect_tcp(std::uint16_t port, ClientOptions opts = {}) {
     ServerClient c(std::move(opts));
-    c.kind_ = Endpoint::kTcp;
+    c.endpoint_ = Endpoint::kTcp;
     c.tcp_port_ = port;
     c.fd_ = c.dial(c.opts_.connect_timeout);
     c.first_hello();
@@ -151,7 +151,7 @@ class ServerClient {
 
   ServerClient(ServerClient&& o) noexcept
       : opts_(std::move(o.opts_)),
-        kind_(o.kind_),
+        endpoint_(o.endpoint_),
         uds_path_(std::move(o.uds_path_)),
         tcp_port_(o.tcp_port_),
         fd_(std::exchange(o.fd_, -1)),
@@ -169,7 +169,7 @@ class ServerClient {
     if (this != &o) {
       close();
       opts_ = std::move(o.opts_);
-      kind_ = o.kind_;
+      endpoint_ = o.endpoint_;
       uds_path_ = std::move(o.uds_path_);
       tcp_port_ = o.tcp_port_;
       fd_ = std::exchange(o.fd_, -1);
@@ -485,7 +485,7 @@ class ServerClient {
     int fd = -1;
     sockaddr_storage ss{};
     socklen_t slen = 0;
-    if (kind_ == Endpoint::kUds) {
+    if (endpoint_ == Endpoint::kUds) {
       fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
       if (fd < 0) throw_errno("socket(AF_UNIX)");
       auto* addr = reinterpret_cast<sockaddr_un*>(&ss);
@@ -883,7 +883,7 @@ class ServerClient {
   }
 
   ClientOptions opts_;
-  Endpoint kind_ = Endpoint::kUds;
+  Endpoint endpoint_ = Endpoint::kUds;
   std::string uds_path_;
   std::uint16_t tcp_port_ = 0;
   int fd_ = -1;

@@ -583,7 +583,7 @@ inline void overload_storm_block_scenario(SimHarness& h) {
 }
 
 // ---------------------------------------------------------------------------
-// Heap wait plane (waitplane=heap — wait_index.hpp)
+// Level index (wait_index.hpp)
 // ---------------------------------------------------------------------------
 
 /// A late arm races a bulk wake: three waiters at distinct levels are
@@ -593,7 +593,6 @@ inline void overload_storm_block_scenario(SimHarness& h) {
 /// parks and is released by the value it re-reads under the lock.
 inline void heap_arm_vs_bulk_wake_scenario(SimHarness& h) {
   typename SimCounter::Options opt;
-  opt.wait_plane = WaitPlaneKind::kHeap;
   opt.wait_shards = 1;
   auto& c = h.make<SimCounter>(opt);
   auto& released = h.make<int>(0);
@@ -635,7 +634,6 @@ inline void heap_arm_vs_bulk_wake_scenario(SimHarness& h) {
 /// global minimum when the lock-free increment probes it.
 inline void heap_cross_shard_wake_scenario(SimHarness& h) {
   typename SimShardedCounter::Options opt;
-  opt.wait_plane = WaitPlaneKind::kHeap;
   opt.wait_shards = 2;
   opt.stripes = 2;
   auto& c = h.make<SimShardedCounter>(opt);
@@ -1035,11 +1033,11 @@ inline const std::vector<SimScenario>& sim_scenarios() {
        "frees the over-cap pair",
        false, &overload_storm_block_scenario},
       {"heap_arm_vs_bulk_wake",
-       "heap wait plane: a late arm races the ascending bulk-wake peel — "
+       "level index: a late arm races the ascending bulk-wake peel — "
        "no waiter stranded, bulk_wakes counted",
        false, &heap_arm_vs_bulk_wake_scenario},
       {"heap_cross_shard_wake",
-       "sharded heap plane over striped cells: watermark from the O(S) root "
+       "sharded level index over striped cells: watermark from the O(S) root "
        "scan still satisfies the seq_cst publication protocol",
        false, &heap_cross_shard_wake_scenario},
       {"predicate_threshold_blocking",

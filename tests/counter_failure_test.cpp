@@ -75,14 +75,12 @@ static_assert(FailureAwareCounter<ShardedHybridCounter>);
 static_assert(FailureAwareCounter<Traced<ShardedHybridCounter>>);
 static_assert(FailureAwareCounter<AnyHandle>);
 
-// Heap wait plane wrappers (waitplane=heap — wait_index.hpp): the
-// failure model must hold over both WaitIndex representations, and the
-// fault-env variant arms allocation failures against the heap's extra
-// allocation points (hash slot + heap slot per fresh level).
+// Sharded wait index wrappers (waitplane=heap:S — wait_index.hpp): the
+// failure model must hold across shards too, not only over the default
+// one shard.
 inline WaitListOptions heap_plane_options(std::size_t shards,
                                           std::size_t preallocated = 0) {
   WaitListOptions o;
-  o.wait_plane = WaitPlaneKind::kHeap;
   o.wait_shards = shards;
   o.preallocated_nodes = preallocated;
   return o;
@@ -537,18 +535,14 @@ TEST(StallWatchdog, ReportsParkedWaiterAndItsWaitList) {
   ASSERT_EQ(last.wait_levels.size(), 1u);
   EXPECT_EQ(last.wait_levels[0].level, 10u);
   EXPECT_EQ(last.wait_levels[0].waiters, 1u);
-  // The report says WHICH wait plane the waiter is parked on — a heap
-  // stall and a list stall point at different suspects.
-  EXPECT_EQ(last.wait_plane, WaitPlaneKind::kList);
+  // The report says how many shards the waiter's wait index has.
   EXPECT_EQ(last.wait_shards, 1u);
-  EXPECT_STREQ(to_string(last.wait_plane), "list");
   EXPECT_GE(counter.stats().stall_reports, 1u);
 }
 
-TEST(StallWatchdog, ReportNamesTheHeapPlaneAndItsShardCount) {
+TEST(StallWatchdog, ReportNamesTheShardCount) {
   WaitListOptions options;
   options.stall_report_after = 20ms;
-  options.wait_plane = WaitPlaneKind::kHeap;
   options.wait_shards = 4;
   std::atomic<int> reports{0};
   CounterStallReport last{};
@@ -567,9 +561,7 @@ TEST(StallWatchdog, ReportNamesTheHeapPlaneAndItsShardCount) {
     counter.Increment(10);
   }
   std::scoped_lock lock(report_m);
-  EXPECT_EQ(last.wait_plane, WaitPlaneKind::kHeap);
   EXPECT_EQ(last.wait_shards, 4u);
-  EXPECT_STREQ(to_string(last.wait_plane), "heap");
 }
 
 TEST(StallWatchdog, QuietWhenIncrementsArriveInTime) {
@@ -800,17 +792,16 @@ TYPED_TEST(FaultRounds, SeededFaultRoundKeepsTimedAccountingExact) {
   EXPECT_EQ(c.stats().live_nodes, 0u);
 }
 
-// The heap wait plane has two allocation sites the list does not: the
-// level-to-node hash entry and the heap array growth (wait_index.hpp's
-// link hook).  Fail each in turn — the strong guarantee must hold at
-// every site, and the same counter must then park and release.
+// The level index has two allocation sites besides the node: the
+// level-to-node table and the heap array growth (wait_index.hpp's link
+// hook).  Fail each in turn — the strong guarantee must hold at every
+// site, and the same counter must then park and release.
 TEST(HeapPlaneFaultRounds, EveryIndexAllocationSiteUnwindsCleanly) {
   WaitListOptions options;
-  options.wait_plane = WaitPlaneKind::kHeap;
   options.wait_shards = 2;
   options.pool_nodes = false;  // every round re-runs the full sequence
   BasicCounter<HybridWaitT<monotonic::sim::RealFaultEnv>> c(options);
-  // Fresh-level link: alloc #1 = the node, #2 = the hash entry,
+  // Fresh-level link: alloc #1 = the node, #2 = the table,
   // #3 = the heap slot.
   for (std::size_t site = 1; site <= 3; ++site) {
     FaultPlan plan;

@@ -49,12 +49,10 @@ using FaultBlockingCounter = BasicCounter<BlockingWaitT<RealFaultEnv>>;
 using FaultFutexCounter = BasicCounter<FutexWaitT<RealFaultEnv>>;
 using FaultHybridCounter = BasicCounter<HybridWaitT<RealFaultEnv>>;
 
-// Heap wait plane (waitplane=heap — wait_index.hpp) over the fault
-// env: the allocation sweeps must also cover the index's extra sites
-// (the level hash entry and the heap slot, beyond the node itself).
+// Sharded wait index (waitplane=heap:S — wait_index.hpp) over the
+// fault env: the allocation sweeps must also cover a multi-shard index.
 inline WaitListOptions heap_plane_options(std::size_t shards) {
   WaitListOptions o;
-  o.wait_plane = WaitPlaneKind::kHeap;
   o.wait_shards = shards;
   return o;
 }
@@ -110,9 +108,9 @@ TEST(CounterResource, PooledSpecNeverTouchesTheHeap) {
 }
 
 TEST(CounterResource, PooledHeapPlaneSpecReusesPooledNodes) {
-  // The pool covers wait NODES on the heap plane too — the index's own
-  // bookkeeping (hash entry, heap slot) is separate, but a hot level's
-  // node must keep coming from the free list.
+  // The pool covers wait NODES on a sharded index too — the index's own
+  // bookkeeping (table, heap slot) is separate, but a hot level's node
+  // must keep coming from the free list.
   auto c = make_counter("pooled:8+list,waitplane=heap:2");
   for (counter_value_t level = 1; level <= 4; ++level) {
     park_release_round(*c, level);
@@ -216,9 +214,9 @@ TEST(CounterResource, AllocFailureSweepCheckFor) {
 }
 
 TEST(CounterResource, AllocFailureSweepCheckHeapPlane) {
-  // waitplane=heap: a fresh park allocates the node, the level hash
-  // entry, and the heap slot — three distinct failure sites, each of
-  // which must unwind to the pre-call state.
+  // A fresh park allocates the node, may build or grow the level
+  // table, and may grow the heap array — three distinct failure sites,
+  // each of which must unwind to the pre-call state.
   sweep_parked_op<HeapPlane<FaultHybridCounter>>(
       [](HeapPlane<FaultHybridCounter>& c) { c.Check(1); }, 3);
 }
@@ -268,7 +266,7 @@ TEST(CounterResource, AllocFailureSweepOnReachFreshLevel) {
 }
 
 TEST(CounterResource, AllocFailureSweepOnReachFreshLevelHeapPlane) {
-  // The heap index adds the hash-entry and heap-slot sites to the
+  // The level index adds the table and heap-slot sites to the
   // fresh-callback-node path.
   sweep_onreach_fresh<HeapPlane<FaultHybridCounter>>(3);
 }
@@ -303,6 +301,138 @@ TEST(CounterResource, AllocFailureSweepOnReachJoinedLevel) {
     if (failed == 0) {
       EXPECT_FALSE(threw);
       EXPECT_GE(k, 2u);
+      break;
+    }
+    EXPECT_TRUE(threw) << "allocation " << k
+                       << " failed but OnReach registered";
+    ASSERT_LT(k, 64u) << "sweep did not terminate";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The scan/table crossover under faults.  A shard of the level index
+// finds levels by scanning up to eight of them and builds its level
+// table when a ninth links (wait_index.hpp).  With eight levels already
+// armed, sweep the failure over the ninth level's park and over a
+// fresh-level OnReach: every faulted round must leave the live level
+// set exactly as it was, and the counter usable.
+// ---------------------------------------------------------------------------
+
+// Waiters linked into the wait index — unlike stats().live_nodes, which
+// counts a node from its allocation, before its link has allocated.
+std::size_t parked_waiters(const FaultHybridCounter& c) {
+  std::size_t waiters = 0;
+  for (const auto& wl : c.debug_snapshot().wait_levels) waiters += wl.waiters;
+  return waiters;
+}
+
+std::vector<counter_value_t> parked_levels(const FaultHybridCounter& c) {
+  std::vector<counter_value_t> levels;
+  for (const auto& wl : c.debug_snapshot().wait_levels) {
+    EXPECT_EQ(wl.waiters, 1u) << "level " << wl.level;
+    levels.push_back(wl.level);
+  }
+  return levels;
+}
+
+TEST(CounterResource, AllocFailureSweepNinthLevelPark) {
+  const std::vector<counter_value_t> armed = {11, 12, 13, 14,
+                                              15, 16, 17, 18};
+  for (std::uint64_t k = 1;; ++k) {
+    FaultHybridCounter c;
+    std::vector<std::thread> waiters;
+    for (counter_value_t level : armed) {
+      waiters.emplace_back([&c, level] { c.Check(level); });
+    }
+    while (parked_waiters(c) < armed.size()) std::this_thread::yield();
+    std::atomic<bool> done{false};
+    bool threw = false;
+    std::uint64_t failed = 0;
+    {
+      FaultPlan plan;
+      plan.fail_alloc_at = k;
+      FaultScope scope(plan);
+      // The ninth level (1) sits below the armed ones, so the releaser's
+      // Increment(1) frees it alone.
+      std::thread releaser([&] {
+        while (!done.load(std::memory_order_acquire) &&
+               c.stats().live_nodes == armed.size()) {
+          std::this_thread::yield();
+        }
+        c.Increment(1);
+      });
+      try {
+        c.Check(1);
+      } catch (const CounterResourceError&) {
+        threw = true;
+      }
+      done.store(true, std::memory_order_release);
+      releaser.join();
+      failed = fault_state().allocs_failed.load(std::memory_order_relaxed);
+    }
+    EXPECT_EQ(parked_levels(c), armed) << "ordinal " << k;
+    // Still usable: a join at an armed level finds its node, and the
+    // armed waiters release.
+    std::thread joiner([&c] { c.Check(15); });
+    while (parked_waiters(c) < armed.size() + 1) std::this_thread::yield();
+    const auto snap = c.debug_snapshot().wait_levels;
+    ASSERT_EQ(snap.size(), armed.size()) << "join linked a duplicate level";
+    EXPECT_EQ(snap[4].level, 15u);
+    EXPECT_EQ(snap[4].waiters, 2u);
+    c.Increment(armed.back() - 1);
+    joiner.join();
+    for (auto& t : waiters) t.join();
+    EXPECT_EQ(c.stats().live_nodes, 0u) << "node leaked at ordinal " << k;
+    if (failed == 0) {
+      EXPECT_FALSE(threw);
+      EXPECT_GE(k, 4u) << "sweep ended before covering the node, table "
+                       << "and heap-slot sites";
+      break;
+    }
+    EXPECT_TRUE(threw) << "allocation " << k
+                       << " failed but the park succeeded";
+    ASSERT_LT(k, 64u) << "sweep did not terminate";
+  }
+}
+
+TEST(CounterResource, AllocFailureSweepNinthLevelOnReach) {
+  const std::vector<counter_value_t> armed = {11, 12, 13, 14,
+                                              15, 16, 17, 18};
+  for (std::uint64_t k = 1;; ++k) {
+    FaultHybridCounter c;
+    std::atomic<int> fired{0};
+    for (counter_value_t level : armed) {
+      c.OnReach(level, [&] { fired.fetch_add(1, std::memory_order_relaxed); });
+    }
+    bool threw = false;
+    std::uint64_t failed = 0;
+    {
+      FaultPlan plan;
+      plan.fail_alloc_at = k;
+      FaultScope scope(plan);
+      try {
+        c.OnReach(1, [&] { fired.fetch_add(100, std::memory_order_relaxed); });
+      } catch (const CounterResourceError&) {
+        threw = true;
+      }
+      failed = fault_state().allocs_failed.load(std::memory_order_relaxed);
+    }
+    if (threw) {
+      EXPECT_EQ(c.debug_snapshot().callback_levels, armed) << "ordinal " << k;
+      c.OnReach(1, [&] { fired.fetch_add(100, std::memory_order_relaxed); });
+    }
+    // A join at an armed level must find its node through whichever
+    // index the shard is on.
+    c.OnReach(15, [&] { fired.fetch_add(1, std::memory_order_relaxed); });
+    c.Increment(1);
+    EXPECT_EQ(fired.load(), 100) << "ordinal " << k;
+    c.Increment(armed.back() - 1);
+    EXPECT_EQ(fired.load(), 109) << "ordinal " << k;
+    EXPECT_TRUE(c.debug_snapshot().callback_levels.empty());
+    if (failed == 0) {
+      EXPECT_FALSE(threw);
+      EXPECT_GE(k, 4u) << "sweep ended before covering the node, table "
+                       << "and heap-slot sites";
       break;
     }
     EXPECT_TRUE(threw) << "allocation " << k

@@ -92,18 +92,18 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"sharded:2+hybrid+traced", "sharded:2+hybrid+traced"},
         SpecCase{"sharded+hybrid+batching,batch=16",
                  "sharded+hybrid+batching,batch=16"},
-        // Heap wait plane: waitplane=list is the default and never
-        // prints; an explicit heap shard count always prints, the auto
-        // count never does (mirrors the sharded prefix).
+        // Wait index shards: bare waitplane=list|heap mean the default
+        // one shard and never print (recorded specs still name them);
+        // an explicit shard count always prints (mirrors the sharded
+        // prefix).
         SpecCase{"hybrid,waitplane=list", "hybrid"},
-        SpecCase{"hybrid,waitplane=heap", "hybrid,waitplane=heap"},
+        SpecCase{"hybrid,waitplane=heap", "hybrid"},
         SpecCase{"hybrid,waitplane=heap:4", "hybrid,waitplane=heap:4"},
         SpecCase{"list,pool=0,waitplane=heap:2",
                  "list-nopool,waitplane=heap:2"},
         SpecCase{"sharded:2+hybrid,waitplane=heap:4+traced",
                  "sharded:2+hybrid,waitplane=heap:4+traced"},
-        SpecCase{"pooled:16+futex,waitplane=heap",
-                 "pooled:16+futex,waitplane=heap"},
+        SpecCase{"pooled:16+futex,waitplane=heap", "pooled:16+futex"},
         // Completion executor: inline is the default and never prints;
         // pool always prints with its explicit worker count (bare
         // "pool" means one worker).
@@ -198,7 +198,7 @@ TEST(SpecRejects, MessagesNameTheBadToken) {
   EXPECT_NE(message_of("hybrid+sharded").find("'sharded'"),
             std::string::npos);
   EXPECT_NE(message_of("list,bogus=1").find("'bogus'"), std::string::npos);
-  // The list plane has no shards; the message points at the heap form.
+  // 'list' never sharded; the message points at the heap form.
   EXPECT_NE(message_of("hybrid,waitplane=list:2").find("waitplane=heap"),
             std::string::npos);
   EXPECT_NE(message_of("hybrid,waitplane=bogus").find("waitplane"),
@@ -297,9 +297,9 @@ TEST(SpecBehavior, ComposedSpecsIncrementAndWake) {
   }
 }
 
-// Wait-plane metadata flows through the erased interface the same way
-// stripe metadata does: wait_shard_count reports the heap's shard
-// count, and list-plane counters report 1.
+// Wait-index metadata flows through the erased interface the same way
+// stripe metadata does: wait_shard_count reports the shard count, and
+// default counters report 1.
 TEST(SpecBehavior, HeapPlaneSpecsExposeWaitShardMetadata) {
   auto heap = make_counter("hybrid,waitplane=heap:4");
   EXPECT_EQ(heap->stats().wait_shard_count, 4u);

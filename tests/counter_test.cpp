@@ -89,17 +89,16 @@ static_assert(PredicateCounterLike<Batching<HybridCounter>>);
 static_assert(PredicateCounterLike<Broadcasting<Counter>>);
 static_assert(PredicateCounterLike<AnyHandle>);
 
-// Wrappers that default-construct over the heap wait plane
-// (waitplane=heap — wait_index.hpp), so the typed suite runs the same
-// bodies over both WaitIndex representations.  Shard count 3 is
-// deliberately not a power of two and smaller than the level spread,
-// so cross-shard min-scans and level%S collisions both happen; the
-// pooled variant composes preallocation with the index to cover the
-// pool/recycle interaction.
+// Wrappers that default-construct over a sharded wait index
+// (waitplane=heap:S — wait_index.hpp), so the typed suite runs the same
+// bodies across shards; the default one shard never scans across them.
+// Shard count 3 is deliberately not a power of two and smaller than the
+// level spread, so cross-shard min-scans and level%S collisions both
+// happen; the pooled variant composes preallocation with the index to
+// cover the pool/recycle interaction.
 inline WaitListOptions heap_plane_options(std::size_t shards,
                                           std::size_t preallocated = 0) {
   WaitListOptions o;
-  o.wait_plane = WaitPlaneKind::kHeap;
   o.wait_shards = shards;
   o.preallocated_nodes = preallocated;
   return o;
@@ -123,7 +122,7 @@ class CounterSemantics : public ::testing::Test {
 
 // Five bare implementations + three decorated compositions + the
 // striped value plane (bare, over a locking policy, and under a
-// decorator) + the heap wait plane (bare, pooled, and composed with
+// decorator) + a sharded wait index (bare, pooled, and composed with
 // the striped value plane).  Batching is instantiated with batch=1
 // (its default), which must behave as an exact pass-through.
 using AllCounterTypes =

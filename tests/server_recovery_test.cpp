@@ -452,6 +452,48 @@ TEST(Recovery, DeferredAndBuiltEnginesRestoreExactly) {
   ::unlink((o.state_file + ".journal").c_str());
 }
 
+TEST(Recovery, RecordedListWaitPlaneSpecRestores) {
+  // The server records a counter's spec as the client sent it, so state
+  // files written while the list wait plane existed hold
+  // "waitplane=list".  The spec still parses (as the default one-shard
+  // index), so such a counter restores from the journal and from the
+  // snapshot alike.
+  ms::ServerOptions o;
+  o.uds_path = unique_path("listspec.sock");
+  o.state_file = unique_path("listspec.state");
+  {
+    ms::CounterServer server(o);
+    server.Start();
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto legacy = c.open("legacy", "hybrid,waitplane=list");
+    c.increment(legacy.id, 9);
+    EXPECT_EQ(c.check(legacy.id, 9), 9u);
+    server.Stop();  // journal only
+  }
+  {
+    ms::CounterServer server(o);
+    server.Start();
+    EXPECT_EQ(server.stats().restored_counters, 1u);
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto legacy = c.resolve("legacy");
+    EXPECT_EQ(legacy.value, 9u);
+    c.increment(legacy.id, 1);
+    server.Drain();  // writes the snapshot
+  }
+  {
+    ms::CounterServer server(o);
+    server.Start();
+    EXPECT_EQ(server.stats().restored_counters, 1u);
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto legacy = c.resolve("legacy");
+    EXPECT_EQ(legacy.value, 10u);
+    EXPECT_EQ(c.check(legacy.id, 10), 10u);
+    server.Stop();
+  }
+  ::unlink(o.state_file.c_str());
+  ::unlink((o.state_file + ".journal").c_str());
+}
+
 TEST(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
   const std::string sock = unique_path("epoch.sock");
   const std::string state = unique_path("epoch.state");

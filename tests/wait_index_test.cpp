@@ -1,17 +1,19 @@
-// wait_index_test.cpp — structural tests for the sharded hierarchical
-// level index (WaitPlaneKind::kHeap) behind the WaitIndex seam.
+// wait_index_test.cpp — structural tests for the sharded level index
+// (wait_index.hpp) behind WaitList and CallbackListT.
 //
 // These drive WaitList / CallbackListT directly (no threads, no
 // policies): the §7 contract — ascending release order, released
 // prefix exactness, O(live levels) storage under timeouts — must hold
-// identically for both representations, so the heaviest test here is
-// differential: one seeded operation stream applied to a list plane
-// and a heap plane side by side, comparing every observable after
-// every step.
+// at every shard count and on both sides of the scan/table crossover,
+// so the heaviest tests here are differential: seeded operation
+// streams applied to the index and to a std::map reference (the §7
+// ordered list's semantics), comparing every observable after every
+// step.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -31,7 +33,6 @@ using Node = List::Node;
 
 WaitListOptions heap_options(std::size_t shards) {
   WaitListOptions options;
-  options.wait_plane = WaitPlaneKind::kHeap;
   options.wait_shards = shards;
   return options;
 }
@@ -39,19 +40,20 @@ WaitListOptions heap_options(std::size_t shards) {
 TEST(WaitIndex, ReportsConfiguration) {
   CounterStats stats;
   List list(WaitListOptions{}, stats);
-  EXPECT_EQ(list.kind(), WaitPlaneKind::kList);
   EXPECT_EQ(list.wait_shard_count(), 1u);
+  EXPECT_EQ(stats.snapshot().wait_shard_count, 1u);
 
   CounterStats heap_stats;
   List heap(heap_options(4), heap_stats);
-  EXPECT_EQ(heap.kind(), WaitPlaneKind::kHeap);
   EXPECT_EQ(heap.wait_shard_count(), 4u);
   EXPECT_EQ(heap_stats.snapshot().wait_shard_count, 4u);
-  // wait_shards = 0 resolves to one shard, still a heap.
+  // wait_shards = 0 resolves to one shard; the cap clamps.
   CounterStats one_stats;
   List one(heap_options(0), one_stats);
-  EXPECT_EQ(one.kind(), WaitPlaneKind::kHeap);
   EXPECT_EQ(one.wait_shard_count(), 1u);
+  CounterStats capped_stats;
+  List capped(heap_options(kMaxWaitShards + 1), capped_stats);
+  EXPECT_EQ(capped.wait_shard_count(), kMaxWaitShards);
 }
 
 TEST(WaitIndex, ReleasesAscendingAcrossShards) {
@@ -97,7 +99,7 @@ TEST(WaitIndex, ReleasesAscendingAcrossShards) {
 
 TEST(WaitIndex, BulkDrainCrossoverKeepsOrderAndSurvivors) {
   // A release past detail::kBulkWakeThreshold levels leaves the pop
-  // loop for the sort-merge drain (drain_heap_sorted): the wake order
+  // loop for the sort-merge drain (LevelIndex::release): the wake order
   // must stay globally ascending and the surviving entries must still
   // be a fully working index — back-links intact for timed unlinks,
   // joins finding their nodes, later releases correct.
@@ -184,7 +186,7 @@ TEST(WaitIndex, RadixDrainSortsLargeShards) {
 TEST(WaitIndex, CallbackIndexBulkDetachKeepsLevelOrder) {
   // Same crossover for the callback plane: a detach_reached past the
   // threshold must still run callbacks in global level order.
-  CallbackList callbacks(WaitPlaneKind::kHeap, 4);
+  CallbackList callbacks(4);
   std::vector<counter_value_t> levels;
   for (counter_value_t l = 1; l <= 250; ++l) levels.push_back(l);
   std::mt19937 rng(13);
@@ -282,93 +284,216 @@ TEST(WaitIndex, RecordsDepthAndBulkWakes) {
 }
 #endif
 
-// The differential test: one seeded operation stream, two planes, every
-// observable compared after every step.  The heap plane must be
-// indistinguishable from §7's list through the WaitList API.
-TEST(WaitIndex, DifferentialAgainstTheListPlane) {
-  for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    CounterStats list_stats, heap_stats;
-    List list(WaitListOptions{}, list_stats);
-    List heap(heap_options(3), heap_stats);
-    std::mt19937 rng(seed);
-    // Parallel node registries: entry i of each vector is the same
-    // logical waiter on both planes.
-    std::vector<Node*> list_nodes, heap_nodes;
-    std::vector<bool> left;
-    counter_value_t value = 0;  // released levels stay <= value
+// The differential test: one seeded operation stream applied to the
+// index and to a std::map reference (level -> waiters, the §7 ordered
+// list's semantics), every observable compared after every step.  One
+// shard crosses the scan/table threshold both ways (levels spread over
+// 40 values); three shards add cross-shard min-scans.
+TEST(WaitIndex, DifferentialAgainstOrderedReference) {
+  for (std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      CounterStats heap_stats;
+      List heap(heap_options(shards), heap_stats);
+      std::map<counter_value_t, std::size_t> model;  // level -> waiters
+      std::mt19937 rng(seed);
+      // Every logical waiter: its node, and whether it has left.
+      std::vector<Node*> heap_nodes;
+      std::vector<bool> left;
+      counter_value_t value = 0;  // released levels stay <= value
 
-    const auto compare = [&](const char* what) {
-      EXPECT_EQ(list.min_level(), heap.min_level()) << what;
-      EXPECT_EQ(list.waiter_count(), heap.waiter_count()) << what;
-      EXPECT_EQ(list.live_level_count(), heap.live_level_count()) << what;
-      std::vector<DebugWaitLevel> ls, hs;
-      list.snapshot_into(ls);
-      heap.snapshot_into(hs);
-      ASSERT_EQ(ls.size(), hs.size()) << what;
-      for (std::size_t i = 0; i < ls.size(); ++i) {
-        EXPECT_EQ(ls[i].level, hs[i].level) << what;
-        EXPECT_EQ(ls[i].waiters, hs[i].waiters) << what;
-      }
-    };
+      const auto compare = [&](const char* what) {
+        std::size_t waiters = 0;
+        for (const auto& [level, count] : model) waiters += count;
+        EXPECT_EQ(model.empty() ? kNoArmedLevel : model.begin()->first,
+                  heap.min_level())
+            << what;
+        EXPECT_EQ(waiters, heap.waiter_count()) << what;
+        EXPECT_EQ(model.size(), heap.live_level_count()) << what;
+        std::vector<DebugWaitLevel> hs;
+        heap.snapshot_into(hs);
+        ASSERT_EQ(model.size(), hs.size()) << what;
+        std::size_t i = 0;
+        for (const auto& [level, count] : model) {
+          EXPECT_EQ(level, hs[i].level) << what;
+          EXPECT_EQ(count, hs[i].waiters) << what;
+          ++i;
+        }
+      };
 
-    for (int step = 0; step < 400; ++step) {
-      const int op = static_cast<int>(rng() % 100);
-      if (op < 55) {  // acquire a (possibly shared) level above value
-        const counter_value_t level = value + 1 + rng() % 40;
-        list_nodes.push_back(list.acquire(level));
-        heap_nodes.push_back(heap.acquire(level));
-        left.push_back(false);
-      } else if (op < 80) {  // a random live waiter leaves (timeout)
-        std::vector<std::size_t> live;
-        for (std::size_t i = 0; i < left.size(); ++i) {
-          if (!left[i]) live.push_back(i);
+      for (int step = 0; step < 400; ++step) {
+        const int op = static_cast<int>(rng() % 100);
+        if (op < 55) {  // acquire a (possibly shared) level above value
+          const counter_value_t level = value + 1 + rng() % 40;
+          heap_nodes.push_back(heap.acquire(level));
+          ++model[level];
+          left.push_back(false);
+        } else if (op < 80) {  // a random live waiter leaves (timeout)
+          std::vector<std::size_t> live;
+          for (std::size_t i = 0; i < left.size(); ++i) {
+            if (!left[i]) live.push_back(i);
+          }
+          if (live.empty()) continue;
+          const std::size_t pick = live[rng() % live.size()];
+          const counter_value_t level = heap_nodes[pick]->level;
+          heap.leave(heap_nodes[pick]);
+          if (--model[level] == 0) model.erase(level);
+          left[pick] = true;
+        } else {  // increment: release the prefix from both
+          value += 1 + rng() % 30;
+          std::vector<counter_value_t> mrel, hrel;
+          while (!model.empty() && model.begin()->first <= value) {
+            mrel.push_back(model.begin()->first);
+            model.erase(model.begin());
+          }
+          heap.release_prefix(value,
+                              [&](Node& node) { hrel.push_back(node.level); });
+          EXPECT_EQ(mrel, hrel) << "release order diverged, seed " << seed;
+          // Released waiters wake and leave.
+          for (std::size_t i = 0; i < left.size(); ++i) {
+            if (left[i] || heap_nodes[i]->level > value) continue;
+            EXPECT_TRUE(heap_nodes[i]->released);
+            heap.leave(heap_nodes[i]);
+            left[i] = true;
+          }
         }
-        if (live.empty()) continue;
-        const std::size_t pick = live[rng() % live.size()];
-        list.leave(list_nodes[pick]);
-        heap.leave(heap_nodes[pick]);
-        left[pick] = true;
-      } else {  // increment: release the prefix on both planes
-        value += 1 + rng() % 30;
-        std::vector<counter_value_t> lrel, hrel;
-        list.release_prefix(value,
-                            [&](Node& node) { lrel.push_back(node.level); });
-        heap.release_prefix(value,
-                            [&](Node& node) { hrel.push_back(node.level); });
-        EXPECT_EQ(lrel, hrel) << "release order diverged, seed " << seed;
-        // Released waiters wake and leave on both planes.
-        for (std::size_t i = 0; i < left.size(); ++i) {
-          if (left[i] || !list_nodes[i]->released) continue;
-          EXPECT_TRUE(heap_nodes[i]->released);
-          list.leave(list_nodes[i]);
-          heap.leave(heap_nodes[i]);
-          left[i] = true;
-        }
+        compare("after step");
       }
-      compare("after step");
+      // Drain: abort everything, then every survivor leaves.
+      std::vector<counter_value_t> mabort, habort;
+      for (const auto& [level, count] : model) mabort.push_back(level);
+      heap.abort_all([&](Node& node) { habort.push_back(node.level); });
+      EXPECT_EQ(mabort, habort);
+      for (std::size_t i = 0; i < left.size(); ++i) {
+        if (left[i]) continue;
+        EXPECT_TRUE(heap_nodes[i]->aborted);
+        heap.leave(heap_nodes[i]);
+      }
+      EXPECT_TRUE(heap.empty());
+      EXPECT_EQ(heap.waiter_count(), 0u);
     }
-    // Drain: abort everything, then every survivor leaves.
-    std::vector<counter_value_t> labort, habort;
-    list.abort_all([&](Node& node) { labort.push_back(node.level); });
-    heap.abort_all([&](Node& node) { habort.push_back(node.level); });
-    EXPECT_EQ(labort, habort);
-    for (std::size_t i = 0; i < left.size(); ++i) {
-      if (left[i]) continue;
-      EXPECT_EQ(list_nodes[i]->aborted, heap_nodes[i]->aborted);
-      list.leave(list_nodes[i]);
-      heap.leave(heap_nodes[i]);
-    }
-    EXPECT_TRUE(list.empty());
-    EXPECT_TRUE(heap.empty());
-    EXPECT_EQ(list.waiter_count(), 0u);
-    EXPECT_EQ(heap.waiter_count(), 0u);
   }
 }
 
-// ---- CallbackListT over the heap index ------------------------------
+// The scan/table crossover: a shard finds levels by scanning its heap
+// array up to eight live levels and builds the level table when a
+// ninth links.  Walk a one-shard index up through 12 levels and back
+// down, joining below and above the threshold, unlinking a timed
+// waiter from the middle, then a partial and a full bulk drain and a
+// re-arm after the full one — checking `find` (through joins) and the
+// ascending release order against a std::map reference at each step.
+TEST(WaitIndex, ScanToTableCrossover) {
+  CounterStats stats;
+  List index(heap_options(1), stats);
+  std::map<counter_value_t, std::vector<Node*>> model;  // level -> waiters
+  const auto arm = [&](counter_value_t level) {
+    Node* node = index.acquire(level);
+    auto& waiters = model[level];
+    // A join must find the level's existing node.
+    if (!waiters.empty()) {
+      EXPECT_EQ(node, waiters.front()) << level;
+    }
+    waiters.push_back(node);
+    EXPECT_EQ(node->waiters, waiters.size()) << level;
+  };
+  const auto expect_matches = [&](const char* what) {
+    EXPECT_EQ(index.live_level_count(), model.size()) << what;
+    EXPECT_EQ(index.min_level(),
+              model.empty() ? kNoArmedLevel : model.begin()->first)
+        << what;
+    std::vector<DebugWaitLevel> snap;
+    index.snapshot_into(snap);
+    ASSERT_EQ(snap.size(), model.size()) << what;
+    std::size_t i = 0;
+    for (const auto& [level, waiters] : model) {
+      EXPECT_EQ(snap[i].level, level) << what;
+      EXPECT_EQ(snap[i].waiters, waiters.size()) << what;
+      ++i;
+    }
+  };
+  const auto release = [&](counter_value_t value) {
+    std::vector<counter_value_t> got, want;
+    index.release_prefix(value, [&](Node& node) { got.push_back(node.level); });
+    while (!model.empty() && model.begin()->first <= value) {
+      want.push_back(model.begin()->first);
+      for (Node* node : model.begin()->second) index.leave(node);
+      model.erase(model.begin());
+    }
+    EXPECT_EQ(got, want) << "release to " << value;
+  };
+
+  // Up through 12 distinct levels, scrambled, joining as we go: joins
+  // at 3 levels run while scanning, the one at 110 after the table.
+  const counter_value_t up[] = {140, 110, 170, 120, 160, 130, 150, 180,
+                                190, 200, 100, 210};
+  for (std::size_t i = 0; i < std::size(up); ++i) {
+    arm(up[i]);
+    if (i == 2) {
+      arm(110);
+      arm(140);
+      arm(170);
+    }
+    if (i == 10) arm(110);
+    expect_matches("arming");
+  }
+  ASSERT_EQ(model.size(), 12u);
+
+  // A timed waiter at a middle level leaves: its node unlinks.
+  index.leave(model[150].back());
+  model.erase(150);
+  expect_matches("timed unlink");
+
+  // Back down below the threshold by timeouts, then up again: the
+  // table (still built) keeps finding levels.
+  for (counter_value_t level : {210, 200, 190, 180}) {
+    for (Node* node : model[level]) index.leave(node);
+    model.erase(level);
+    expect_matches("timing out");
+  }
+  ASSERT_EQ(model.size(), 7u);
+  arm(120);  // join below the threshold
+  arm(185);
+  arm(195);
+  arm(205);  // 10 levels again
+  arm(195);  // join above it
+  expect_matches("re-arming");
+
+  // Partial release: 100..140 (5 levels) go, ascending.
+  release(140);
+  expect_matches("partial release");
+  arm(175);
+  arm(160);
+  expect_matches("after partial");
+
+  // A release of more than kBulkWakeThreshold levels finishes on the
+  // sort-merge path: 106 levels partially (100 survive), then the
+  // remaining 100 in full.
+  for (counter_value_t level = 1000; level < 1200; ++level) arm(level);
+  release(1099);
+  expect_matches("partial bulk drain");
+  index.leave(model[1150].back());  // survivors' back-links re-based
+  model.erase(1150);
+  arm(1160);
+  expect_matches("after partial bulk drain");
+  release(kNoArmedLevel - 1);
+  expect_matches("full bulk drain");
+  EXPECT_TRUE(index.empty());
+
+  // Re-arm after the full drain dropped the table: scanning again,
+  // then across the threshold once more.
+  for (counter_value_t level : {30, 10, 20, 10}) arm(level);
+  expect_matches("re-arm after full drain");
+  for (counter_value_t level = 40; level <= 100; level += 10) arm(level);
+  arm(20);
+  expect_matches("re-crossed");
+  release(kNoArmedLevel - 1);
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.waiter_count(), 0u);
+}
+
+// ---- CallbackListT over the level index -----------------------------
 
 TEST(WaitIndex, CallbackIndexDetachesAscendingChains) {
-  CallbackList callbacks(WaitPlaneKind::kHeap, 3);
+  CallbackList callbacks(3);
   std::vector<counter_value_t> ran;
   for (counter_value_t l : {25, 5, 15, 35, 10, 5}) {
     callbacks.insert(l, [&ran, l] { ran.push_back(l); });
@@ -397,8 +522,8 @@ TEST(WaitIndex, CallbackIndexDetachesAscendingChains) {
 }
 
 TEST(WaitIndex, CallbackIndexDropsUnreachedAtDestruction) {
-  // Covers the heap-plane destructor sweep (list mode walks head_).
-  CallbackList callbacks(WaitPlaneKind::kHeap, 2);
+  // Covers the destructor sweep over every shard.
+  CallbackList callbacks(2);
   for (counter_value_t l : {8, 2, 4}) {
     callbacks.insert(l, [] { FAIL() << "unreached callback must not run"; });
   }
