@@ -251,7 +251,6 @@ void run_e16() {
 
   ms::ServerOptions opts;
   opts.uds_path = sock_path();
-  opts.shards = 4;
   opts.executor_threads = 2;
   ms::CounterServer server(opts);
   server.Start();

@@ -162,8 +162,7 @@ class ServerClient {
         rng_(o.rng_),
         stash_(std::move(o.stash_)),
         outstanding_(std::move(o.outstanding_)),
-        opens_(std::move(o.opens_)),
-        id_to_name_(std::move(o.id_to_name_)) {}
+        opens_(std::move(o.opens_)) {}
 
   ServerClient& operator=(ServerClient&& o) noexcept {
     if (this != &o) {
@@ -181,7 +180,6 @@ class ServerClient {
       stash_ = std::move(o.stash_);
       outstanding_ = std::move(o.outstanding_);
       opens_ = std::move(o.opens_);
-      id_to_name_ = std::move(o.id_to_name_);
     }
     return *this;
   }
@@ -577,7 +575,6 @@ class ServerClient {
   /// recreated) and rewrite cached + in-flight ids.
   void remap_ids() {
     std::unordered_map<std::uint64_t, std::uint64_t> remap;
-    std::unordered_map<std::uint64_t, std::string> new_id_to_name;
     for (auto& [name, info] : opens_) {
       std::string body;
       put_str16(body, name);
@@ -589,9 +586,7 @@ class ServerClient {
       const Opened opened = parse_opened(resp, "reopen");
       remap[info.id] = opened.id;
       info.id = opened.id;
-      new_id_to_name.emplace(opened.id, name);
     }
-    id_to_name_ = std::move(new_id_to_name);
     for (auto& [req_id, p] : outstanding_) {
       if (auto it = remap.find(p.id); it != remap.end()) p.id = it->second;
     }
@@ -765,7 +760,6 @@ class ServerClient {
     auto [it, inserted] = opens_.try_emplace(std::move(name));
     it->second.id = id;
     if (inserted || !spec.empty()) it->second.spec = std::move(spec);
-    id_to_name_[id] = it->first;
   }
 
   static Opened parse_opened(const Response& resp, const char* what) {
@@ -895,7 +889,6 @@ class ServerClient {
   std::unordered_map<std::uint64_t, Response> stash_;
   std::unordered_map<std::uint64_t, Pending> outstanding_;  ///< replay set
   std::unordered_map<std::string, OpenInfo> opens_;  ///< name → id+spec
-  std::unordered_map<std::uint64_t, std::string> id_to_name_;
 };
 
 }  // namespace monotonic::server

@@ -1,4 +1,4 @@
-// server.cpp — event-loop implementation of the counter shard server.
+// server.cpp — event-loop implementation of the counter server.
 //
 // Single-threaded by construction: every map, buffer and timer below
 // is owned by the event-loop thread.  The only cross-thread traffic is
@@ -116,6 +116,142 @@ void sigterm_handler(int) {
   }
 }
 
+/// The loop-owned counter table.  A counter is a dense index i; its wire
+/// id is i + 1 (id 0 is the server-wide Stats handle).  Paper §7 sizes a
+/// counter by its levels with waiters, so one nobody waits on costs its
+/// two values, a name offset, one bit and its name bytes:
+///
+///   * `applied` and `pending` live in fixed pages of kPage counters, so
+///     the table grows without copying them (no realloc peak);
+///   * names are appended to one arena; counter i's name ends at its u32
+///     offset and starts where counter i - 1's ends;
+///   * an open-addressing index of (32-bit hash tag | id) slots maps a
+///     name to its counter, probed linearly at load <= 7/8;
+///   * a side map holds what only some counters have — a non-default
+///     spec, a built engine, a poison reason — and one bit per counter
+///     says whether it has an entry there, so a plain counter's
+///     Increment and Check(c, 0) never probe the map.
+///
+/// Ids and name offsets are 32-bit: the table holds at most 2^32 - 1
+/// counters and 4 GiB of name bytes (see fits()).
+class CounterTable {
+ public:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  /// What only some counters have.  A counter gets one when its engine
+  /// is built, so `engine` is never null.
+  struct Extra {
+    std::string spec;  ///< "" = ServerOptions::default_spec
+    std::string poison_reason;
+    std::unique_ptr<AnyCounter> engine;
+  };
+
+  /// The hash tag a name is indexed under; computed once per request.
+  static std::uint32_t tag_of(std::string_view name) {
+    const std::size_t h = std::hash<std::string_view>{}(name);
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
+  }
+
+  std::size_t size() const { return size_; }
+
+  /// The counter `id` names, kNone for 0 and past the end.  Compared at
+  /// 64 bits, so 2^32 + id does not alias id.
+  std::size_t index(std::uint64_t id) const {
+    return id - 1 < size_ ? static_cast<std::size_t>(id - 1) : kNone;
+  }
+
+  std::size_t find(std::string_view name, std::uint32_t tag) const {
+    for (std::size_t s = tag & mask();; s = (s + 1) & mask()) {
+      const std::uint64_t slot = slots_[s];
+      if (slot == 0) return kNone;
+      const std::size_t i = static_cast<std::uint32_t>(slot) - 1;
+      if (slot >> 32 == tag && this->name(i) == name) return i;
+    }
+  }
+
+  /// Whether append() has room for `name` under the 32-bit limits.
+  bool fits(std::string_view name) const {
+    return size_ < UINT32_MAX && name.size() <= UINT32_MAX - arena_.size();
+  }
+
+  /// Adds a counter named `name`, which must be absent and fit().
+  std::size_t append(std::string_view name, std::uint32_t tag) {
+    if ((size_ + 1) * 8 > slots_.size() * 7) grow();
+    if (size_ == pages_.size() * kPage) {
+      pages_.push_back(std::make_unique<Page>());
+    }
+    arena_.append(name);
+    const std::size_t i = size_++;
+    page(i).name_end[i % kPage] = static_cast<std::uint32_t>(arena_.size());
+    place((std::uint64_t{tag} << 32) | (i + 1));
+    return i;
+  }
+
+  std::string_view name(std::size_t i) const {
+    const std::uint32_t begin =
+        i == 0 ? 0 : page(i - 1).name_end[(i - 1) % kPage];
+    return std::string_view(arena_).substr(
+        begin, page(i).name_end[i % kPage] - begin);
+  }
+
+  counter_value_t& applied(std::size_t i) {
+    return page(i).values[i % kPage].applied;
+  }
+  counter_value_t& pending(std::size_t i) {
+    return page(i).values[i % kPage].pending;
+  }
+
+  /// The counter's side-map entry, null for a plain counter.
+  Extra* extra(std::size_t i) {
+    const std::uint64_t word = page(i).has_extra[i % kPage / 64];
+    if ((word >> (i % 64) & 1) == 0) return nullptr;
+    return &extras_.find(static_cast<std::uint32_t>(i))->second;
+  }
+
+  Extra& add_extra(std::size_t i, Extra x) {
+    Extra& added = extras_.emplace(static_cast<std::uint32_t>(i), std::move(x))
+                       .first->second;
+    page(i).has_extra[i % kPage / 64] |= std::uint64_t{1} << (i % 64);
+    return added;
+  }
+
+ private:
+  static constexpr std::size_t kPage = 4096;
+  struct Page {
+    // Side by side: every Increment and Check reads both.
+    struct {
+      counter_value_t applied = 0;
+      counter_value_t pending = 0;  ///< acked, applied by flush()
+    } values[kPage];
+    std::uint32_t name_end[kPage] = {};
+    std::uint64_t has_extra[kPage / 64] = {};
+  };
+
+  Page& page(std::size_t i) const { return *pages_[i / kPage]; }
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  void place(std::uint64_t slot) {
+    std::size_t s = (slot >> 32) & mask();
+    while (slots_[s] != 0) s = (s + 1) & mask();
+    slots_[s] = slot;
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const std::uint64_t slot : old) {
+      if (slot != 0) place(slot);
+    }
+  }
+
+  std::vector<std::unique_ptr<Page>> pages_;
+  std::string arena_;
+  std::vector<std::uint64_t> slots_ =
+      std::vector<std::uint64_t>(16);  ///< 0 = empty slot
+  std::unordered_map<std::uint32_t, Extra> extras_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
 struct CounterServer::Impl {
@@ -130,7 +266,7 @@ struct CounterServer::Impl {
     int fd = -1;
     std::uint64_t gen = 0;  ///< connection generation, guards fd reuse
     std::uint64_t req_id = 0;
-    std::uint64_t counter_id = 0;
+    std::size_t counter = 0;  ///< table index
     counter_value_t level = 0;
     bool degraded = false;  ///< on the tick poll list, not in the engine
 
@@ -170,60 +306,6 @@ struct CounterServer::Impl {
         [[maybe_unused]] ssize_t n = ::write(fd, &byte, 1);
       }
     }
-  };
-
-  // ---- logical counters -------------------------------------------
-
-  struct Entry {
-    std::string name;
-    std::string spec;           ///< as resolved at creation (snapshotted)
-    std::string poison_reason;  ///< wire poison reason (snapshotted)
-    /// Null for a default-spec counter until engine() builds it; until
-    /// then its value is `applied`.
-    std::unique_ptr<AnyCounter> counter;
-    counter_value_t applied = 0;
-    counter_value_t pending = 0;  ///< acked, applied by flush_entry
-
-    counter_value_t value() const {
-      return counter ? counter->value_lower_bound() : applied;
-    }
-    bool poisoned() const { return counter && counter->poisoned(); }
-    void add(counter_value_t amount) {
-      if (counter) return counter->Increment(amount);
-      applied += amount;
-    }
-    /// True when `amount` would carry value + pending out of range;
-    /// `inline_max` bounds a counter without an engine.
-    bool overflows(counter_value_t amount, counter_value_t inline_max) const {
-      const counter_value_t max = counter ? counter->max_value() : inline_max;
-      return amount > max - value() - pending;
-    }
-  };
-
-  /// A counter name with its hash, computed once per request: the hash
-  /// picks the shard and is the name map's bucket hash, so neither a
-  /// lookup nor an insert hashes the name again.
-  template <typename Str>
-  struct Hashed {
-    Str name;
-    std::size_t hash;
-  };
-  using HashedName = Hashed<std::string_view>;
-  /// Transparent hash and equality over Hashed<string[_view]>.
-  struct ByHash {
-    using is_transparent = void;
-    template <typename K>
-    std::size_t operator()(const K& k) const noexcept { return k.hash; }
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const noexcept {
-      return a.hash == b.hash && a.name == b.name;
-    }
-  };
-
-  struct Shard {
-    std::unordered_map<Hashed<std::string>, std::uint64_t, ByHash, ByHash>
-        names;                   // name -> id
-    std::vector<Entry> entries;  // local index
   };
 
   // ---- connections ------------------------------------------------
@@ -273,12 +355,12 @@ struct CounterServer::Impl {
   ServerOptions opts;
   counter_value_t inline_max;  ///< default spec's max_value()
   std::shared_ptr<LoopShared> shared = std::make_shared<LoopShared>();
-  std::vector<Shard> shards;
+  CounterTable table;
   std::shared_ptr<CompletionExecutor> executor;
   std::unordered_map<int, Connection> conns;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers;
   std::vector<std::shared_ptr<WaitReg>> degraded;  ///< tick poll list
-  std::vector<std::uint64_t> dirty;  ///< ids of entries with a pending sum
+  std::vector<std::size_t> dirty;  ///< counters with a pending sum
 
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, Session,
                      SessionKeyHash>
@@ -316,9 +398,7 @@ struct CounterServer::Impl {
 
   explicit Impl(ServerOptions o)
       : opts(std::move(o)), inline_max(checked_default_max(opts.default_spec)) {
-    if (opts.shards == 0) opts.shards = 1;
     if (opts.max_sessions == 0) opts.max_sessions = 1;
-    shards.resize(opts.shards);
     executor = std::make_shared<ThreadPoolExecutor>(
         opts.executor_threads == 0 ? 1 : opts.executor_threads);
   }
@@ -328,7 +408,7 @@ struct CounterServer::Impl {
     // Counters drop their executor refs, then the (now sole) executor
     // ref drains and joins the workers, then the pipe the workers were
     // poking can close.  See the lifetime note atop this file.
-    shards.clear();
+    table = {};
     executor.reset();
     if (journal_fd >= 0) ::close(journal_fd);
     if (wake_r >= 0) ::close(wake_r);
@@ -338,76 +418,81 @@ struct CounterServer::Impl {
   bool persist() const { return !opts.state_file.empty(); }
   std::string journal_path() const { return opts.state_file + ".journal"; }
 
-  // ---- id mapping -------------------------------------------------
-  // id = local_index * nshards + shard + 1; 0 is reserved (Stats:
-  // server-wide), so ids are opaque-but-stable handles.
+  // ---- counters ---------------------------------------------------
 
-  std::uint64_t id_of(std::size_t shard, std::size_t idx) const {
-    return idx * shards.size() + shard + 1;
-  }
+  using Extra = CounterTable::Extra;
+  static constexpr std::size_t kNone = CounterTable::kNone;
 
-  Entry* entry_of(std::uint64_t id) {
-    if (id == 0) return nullptr;
-    const std::size_t shard = (id - 1) % shards.size();
-    const std::size_t idx = (id - 1) / shards.size();
-    if (idx >= shards[shard].entries.size()) return nullptr;
-    return &shards[shard].entries[idx];
-  }
-
-  static HashedName hashed(std::string_view name) {
-    return {name, std::hash<std::string_view>{}(name)};
-  }
-
-  /// Current id of a named counter, 0 when unknown.
-  std::uint64_t find_id(const HashedName& key) const {
-    const Shard& sh = shards[key.hash % shards.size()];
-    const auto it = sh.names.find(key);
-    return it == sh.names.end() ? 0 : it->second;
-  }
-
-  /// Creates the counter `key` names (not yet open) with `spec` (empty
-  /// = default) and returns its id.  0 = the spec failed to parse —
-  /// the caller decides whether that is kBadRequest (wire) or a skip
-  /// (restore of a spec written by a newer binary).  A default-spec
-  /// counter gets no engine here; see engine().
-  std::uint64_t create(const HashedName& key, std::string_view spec) {
-    Entry entry;
-    entry.name = std::string(key.name);
-    entry.spec = spec.empty() ? opts.default_spec : std::string(spec);
-    if (entry.spec != opts.default_spec) {
+  /// Creates the counter `name` names (absent, and table.fits() it)
+  /// with `spec` (empty = default) and returns its index.  kNone = the
+  /// spec failed to parse — the caller decides whether that is
+  /// kBadRequest (wire) or a skip (restore of a spec written by a newer
+  /// binary).  A default-spec counter gets no engine here; see built().
+  std::size_t create(std::string_view name, std::uint32_t tag,
+                     std::string_view spec) {
+    Extra extra;
+    if (!spec.empty() && spec != opts.default_spec) {
+      extra.spec = std::string(spec);
       try {
-        entry.counter = make_counter(entry.spec, executor);
+        extra.engine = make_counter(extra.spec, executor);
       } catch (const std::invalid_argument&) {
-        return 0;
+        return kNone;
       }
     }
-    const std::size_t shard = key.hash % shards.size();
-    Shard& sh = shards[shard];
-    const std::uint64_t id = id_of(shard, sh.entries.size());
-    sh.entries.push_back(std::move(entry));
-    sh.names.emplace(Hashed<std::string>{std::string(key.name), key.hash}, id);
+    const std::size_t i = table.append(name, tag);
+    if (extra.engine) table.add_extra(i, std::move(extra));
     s_counters.fetch_add(1, std::memory_order_relaxed);
-    return id;
+    return i;
   }
 
   /// The restore-side open path (snapshot, journal replay).
-  std::uint64_t find_or_create(std::string_view name, std::string_view spec) {
-    const HashedName key = hashed(name);
-    const std::uint64_t id = find_id(key);
-    return id != 0 ? id : create(key, spec);
+  std::size_t find_or_create(std::string_view name, std::string_view spec) {
+    const std::uint32_t tag = CounterTable::tag_of(name);
+    const std::size_t i = table.find(name, tag);
+    if (i != kNone || !table.fits(name)) return i;
+    return create(name, tag, spec);
   }
 
-  /// The entry's engine, built on first need for a default-spec
-  /// counter — a parked wait, a Poison, a per-counter Stats — and
-  /// seeded with the value it held inline.  The shared executor is
-  /// ambient: every logical counter's completions drain through one
-  /// pool, so a million counters do not mean a million threads.
-  AnyCounter& engine(Entry& entry) {
-    if (entry.counter == nullptr) {
-      entry.counter = make_counter(entry.spec, executor);
-      if (entry.applied > 0) entry.counter->Increment(entry.applied);
-    }
-    return *entry.counter;
+  /// The counter's side entry with its engine, built on first need for
+  /// a default-spec counter — a parked wait, a Poison, a per-counter
+  /// Stats — and seeded with the value it held inline.  The shared
+  /// executor is ambient: every logical counter's completions drain
+  /// through one pool, so a million counters do not mean a million
+  /// threads.
+  Extra& built(std::size_t i) {
+    if (Extra* extra = table.extra(i)) return *extra;
+    Extra extra;
+    extra.engine = make_counter(opts.default_spec, executor);
+    if (table.applied(i) > 0) extra.engine->Increment(table.applied(i));
+    return table.add_extra(i, std::move(extra));
+  }
+
+  counter_value_t value(std::size_t i) {
+    const Extra* extra = table.extra(i);
+    return extra ? extra->engine->value_lower_bound() : table.applied(i);
+  }
+
+  bool poisoned(std::size_t i) {
+    const Extra* extra = table.extra(i);
+    return extra && extra->engine->poisoned();
+  }
+
+  const std::string& spec_of(std::size_t i) {
+    const Extra* extra = table.extra(i);
+    return extra && !extra->spec.empty() ? extra->spec : opts.default_spec;
+  }
+
+  void add(std::size_t i, counter_value_t amount) {
+    if (Extra* extra = table.extra(i)) return extra->engine->Increment(amount);
+    table.applied(i) += amount;
+  }
+
+  /// True when `amount` would carry value + pending out of range; the
+  /// default spec's max_value() bounds a counter without an engine.
+  bool overflows(std::size_t i, counter_value_t amount) {
+    const Extra* extra = table.extra(i);
+    const counter_value_t max = extra ? extra->engine->max_value() : inline_max;
+    return amount > max - value(i) - table.pending(i);
   }
 
   // ---- lifecycle --------------------------------------------------
@@ -449,18 +534,17 @@ struct CounterServer::Impl {
   /// everything freely.
   void restore_state() {
     StateSnapshot snap;
-    std::unordered_map<std::uint64_t, std::uint64_t> id_map;  // old → new
+    std::unordered_map<std::uint64_t, std::size_t> id_map;  // old id → index
     const bool have_snap = load_snapshot(opts.state_file, snap);
     if (have_snap) {
       epoch.store(snap.epoch + 1, std::memory_order_relaxed);
       generation = snap.generation;
       for (const CounterRecord& rec : snap.counters) {
-        const std::uint64_t id = find_or_create(rec.name, rec.spec);
-        if (id == 0) continue;  // spec no longer parses: skip
-        id_map[rec.id] = id;
-        Entry& entry = *entry_of(id);
-        if (rec.value > 0) entry.add(rec.value);
-        if (rec.poisoned) poison_entry(entry, rec.poison_reason);
+        const std::size_t i = find_or_create(rec.name, rec.spec);
+        if (i == kNone) continue;  // spec no longer parses: skip
+        id_map[rec.id] = i;
+        if (rec.value > 0) add(i, rec.value);
+        if (rec.poisoned) poison(i, rec.poison_reason);
       }
       for (const SessionRecord& rec : snap.sessions) {
         Session& s = touch_session(rec.hi, rec.lo);
@@ -472,28 +556,26 @@ struct CounterServer::Impl {
       for (const JournalRecord& rec : records) {
         switch (rec.op) {
           case JournalOp::kOpen: {
-            const std::uint64_t id = find_or_create(rec.name, rec.spec);
-            if (id != 0) id_map[rec.id] = id;
+            const std::size_t i = find_or_create(rec.name, rec.spec);
+            if (i != kNone) id_map[rec.id] = i;
             break;
           }
           case JournalOp::kIncrement: {
             auto it = id_map.find(rec.id);
             if (it == id_map.end()) break;
-            Entry* entry = entry_of(it->second);
-            if (entry == nullptr || entry->poisoned()) break;
+            if (poisoned(it->second)) break;
             if ((rec.session_hi | rec.session_lo) != 0) {
               Session& s = touch_session(rec.session_hi, rec.session_lo);
               if (s.window.seen(rec.seq)) break;  // snapshot had it
               s.window.record(rec.seq);
             }
-            entry->add(rec.amount);
+            add(it->second, rec.amount);
             break;
           }
           case JournalOp::kPoison: {
             auto it = id_map.find(rec.id);
             if (it == id_map.end()) break;
-            Entry* entry = entry_of(it->second);
-            if (entry != nullptr) poison_entry(*entry, rec.reason);
+            poison(it->second, rec.reason);
             break;
           }
         }
@@ -507,11 +589,12 @@ struct CounterServer::Impl {
     write_snapshot();
   }
 
-  /// Poisons an entry with a wire-style reason, recording the reason
+  /// Poisons a counter with a wire-style reason, recording the reason
   /// for the next snapshot.
-  void poison_entry(Entry& entry, const std::string& reason) {
-    entry.poison_reason = reason;
-    engine(entry).Poison(std::make_exception_ptr(CounterPoisonedError(
+  void poison(std::size_t i, const std::string& reason) {
+    Extra& extra = built(i);
+    extra.poison_reason = reason;
+    extra.engine->Poison(std::make_exception_ptr(CounterPoisonedError(
         reason.empty() ? "poisoned via wire" : reason)));
   }
 
@@ -554,19 +637,18 @@ struct CounterServer::Impl {
     snap.epoch = epoch.load(std::memory_order_relaxed);
     snap.generation = generation + 1;
     snap.dedup_window = DedupWindow(opts.dedup_window).window();
-    for (std::size_t sh = 0; sh < shards.size(); ++sh) {
-      for (std::size_t i = 0; i < shards[sh].entries.size(); ++i) {
-        Entry& entry = shards[sh].entries[i];
-        flush_entry(entry);
-        CounterRecord rec;
-        rec.id = id_of(sh, i);
-        rec.name = entry.name;
-        rec.spec = entry.spec;
-        rec.value = entry.value();
-        rec.poisoned = entry.poisoned();
-        rec.poison_reason = entry.poison_reason;
-        snap.counters.push_back(std::move(rec));
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      flush(i);
+      CounterRecord rec;
+      rec.id = i + 1;
+      rec.name = table.name(i);
+      rec.spec = spec_of(i);
+      rec.value = value(i);
+      rec.poisoned = poisoned(i);
+      if (const Extra* extra = table.extra(i)) {
+        rec.poison_reason = extra->poison_reason;
       }
+      snap.counters.push_back(std::move(rec));
     }
     for (const auto& [key, session] : sessions) {
       SessionRecord rec;
@@ -955,35 +1037,49 @@ struct CounterServer::Impl {
     respond_message(conn, Status::kBadRequest, req_id, what);
   }
 
+  void unknown_counter(Connection& conn, std::uint64_t req_id,
+                       std::uint64_t id) {
+    respond_message(conn, Status::kUnknownCounter, req_id,
+                    "no counter with id " + std::to_string(id));
+  }
+
+  void poisoned_below_level(Connection& conn, std::uint64_t req_id,
+                            std::size_t i) {
+    respond_message(conn, Status::kPoisoned, req_id,
+                    "counter '" + std::string(table.name(i)) +
+                        "' poisoned below level");
+  }
+
   void do_open(Connection& conn, std::uint64_t req_id, Reader& r) {
     std::string_view name, spec;
     if (!r.get_str16(name) || !r.get_str16(spec) || name.empty()) {
       return bad_request(conn, req_id, "Open: want name+spec, non-empty name");
     }
-    const HashedName key = hashed(name);
-    std::uint64_t id = find_id(key);
-    if (id == 0) {
+    const std::uint32_t tag = CounterTable::tag_of(name);
+    std::size_t i = table.find(name, tag);
+    if (i == kNone) {
       // Fresh create (reopen returns the same id, spec ignored —
       // names are the identity).
-      if (opts.max_counters != 0 &&
-          s_counters.load(std::memory_order_relaxed) >= opts.max_counters) {
+      if ((opts.max_counters != 0 &&
+           s_counters.load(std::memory_order_relaxed) >= opts.max_counters) ||
+          !table.fits(name)) {
         s_rejections.fetch_add(1, std::memory_order_relaxed);
         return respond_message(conn, Status::kOverloaded, req_id,
                                "counter limit reached");
       }
-      id = create(key, spec);
-      if (id == 0) {
+      i = create(name, tag, spec);
+      if (i == kNone) {
         return bad_request(conn, req_id,
                            "Open: unparseable spec '" + std::string(spec) +
                                "'");
       }
       if (persist()) {
-        journal_append(journal_open_body(id, name, entry_of(id)->spec));
+        journal_append(journal_open_body(i + 1, name, spec_of(i)));
       }
     }
     std::string body;
-    put_u64(body, id);
-    put_u64(body, entry_of(id)->value());
+    put_u64(body, i + 1);
+    put_u64(body, value(i));
     respond(conn, Status::kOk, req_id, body);
   }
 
@@ -1008,16 +1104,15 @@ struct CounterServer::Impl {
     if (!r.get_str16(name) || name.empty()) {
       return bad_request(conn, req_id, "Resolve: want non-empty name");
     }
-    const std::uint64_t id = find_id(hashed(name));
-    if (id == 0) {
+    const std::size_t i = table.find(name, CounterTable::tag_of(name));
+    if (i == kNone) {
       return respond_message(conn, Status::kUnknownCounter, req_id,
                              "no counter named '" + std::string(name) + "'");
     }
-    Entry* entry = entry_of(id);
-    flush_entry(*entry);
+    flush(i);
     std::string body;
-    put_u64(body, id);
-    put_u64(body, entry->value());
+    put_u64(body, i + 1);
+    put_u64(body, value(i));
     respond(conn, Status::kOk, req_id, body);
   }
 
@@ -1033,15 +1128,12 @@ struct CounterServer::Impl {
       return bad_request(conn, req_id,
                          "Increment: has-seq flag set but no trailing seq");
     }
-    Entry* entry = entry_of(id);
-    if (entry == nullptr) {
-      if (ack) {
-        respond_message(conn, Status::kUnknownCounter, req_id,
-                        "no counter with id " + std::to_string(id));
-      }
+    const std::size_t i = table.index(id);
+    if (i == kNone) {
+      if (ack) unknown_counter(conn, req_id, id);
       return;
     }
-    if (entry->poisoned()) {
+    if (poisoned(i)) {
       // The engine absorbs post-poison increments as counted drops;
       // an acked client gets the typed error instead of a silent ok.
       // Checked before dedup on purpose: the seq is NOT recorded, and
@@ -1049,16 +1141,17 @@ struct CounterServer::Impl {
       // the seen() branch below — the frozen value already counts it.
       if (ack) {
         respond_message(conn, Status::kPoisoned, req_id,
-                        "counter '" + entry->name + "' is poisoned");
+                        "counter '" + std::string(table.name(i)) +
+                            "' is poisoned");
       }
       return;
     }
     // Refused before the dedup window, journal and ack: once acked, an
     // increment must fit when the tick applies it.
-    if (entry->overflows(amount, inline_max)) {
+    if (overflows(i, amount)) {
       if (ack) {
-        bad_request(conn, req_id,
-                    "Increment: overflows counter '" + entry->name + "'");
+        bad_request(conn, req_id, "Increment: overflows counter '" +
+                                      std::string(table.name(i)) + "'");
       }
       return;
     }
@@ -1078,17 +1171,17 @@ struct CounterServer::Impl {
                                             conn.session_lo, seq));
     }
     // Per-tick batching: applied at tick end or on the next read.
-    if (entry->pending == 0 && amount > 0) dirty.push_back(id);
-    entry->pending += amount;
+    if (table.pending(i) == 0 && amount > 0) dirty.push_back(i);
+    table.pending(i) += amount;
     s_batched.fetch_add(1, std::memory_order_relaxed);
     if (ack) respond(conn, Status::kOk, req_id);
   }
 
   /// Read-your-writes: any operation that observes a counter's value
   /// applies its pending sum first.
-  void flush_entry(Entry& entry) {
-    if (entry.pending > 0) {
-      entry.add(std::exchange(entry.pending, 0));
+  void flush(std::size_t i) {
+    if (table.pending(i) > 0) {
+      add(i, std::exchange(table.pending(i), 0));
       s_flushes.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -1100,24 +1193,17 @@ struct CounterServer::Impl {
         (timed && !r.get_u64(timeout_ns))) {
       return bad_request(conn, req_id, "wait: want id+level[+timeout_ns]");
     }
-    Entry* entry = entry_of(id);
-    if (entry == nullptr) {
-      return respond_message(conn, Status::kUnknownCounter, req_id,
-                             "no counter with id " + std::to_string(id));
-    }
-    flush_entry(*entry);
+    const std::size_t i = table.index(id);
+    if (i == kNone) return unknown_counter(conn, req_id, id);
+    flush(i);
     // Fast path: already reached — answer inline, no registration.
-    const counter_value_t value = entry->value();
-    if (value >= level) {
+    const counter_value_t now = value(i);
+    if (now >= level) {
       std::string body;
-      put_u64(body, value);
+      put_u64(body, now);
       return respond(conn, Status::kReached, req_id, body);
     }
-    if (entry->poisoned()) {
-      return respond_message(
-          conn, Status::kPoisoned, req_id,
-          "counter '" + entry->name + "' poisoned below level");
-    }
+    if (poisoned(i)) return poisoned_below_level(conn, req_id, i);
     if (timed && timeout_ns == 0) {
       return respond(conn, Status::kTimedOut, req_id);
     }
@@ -1138,7 +1224,7 @@ struct CounterServer::Impl {
           // Degraded wait: no engine registration; the tick loop polls
           // the value.  Timed degraded waits still get a timer.
           s_rejections.fetch_add(1, std::memory_order_relaxed);
-          auto reg = make_reg(conn, req_id, id, level);
+          auto reg = make_reg(conn, req_id, i, level);
           reg->degraded = true;
           degraded.push_back(reg);
           s_degraded.fetch_add(1, std::memory_order_relaxed);
@@ -1159,7 +1245,7 @@ struct CounterServer::Impl {
       }
     }
 
-    auto reg = make_reg(conn, req_id, id, level);
+    auto reg = make_reg(conn, req_id, i, level);
     shared->parked.fetch_add(1, std::memory_order_relaxed);
     if (timed) arm_timer(reg, timeout_ns);
     // Parked connection: the engine holds the registration; the fire
@@ -1167,7 +1253,7 @@ struct CounterServer::Impl {
     // loop.  A settled (timed-out / disconnected) reg makes the fire
     // a no-op, and the lambdas touch only LoopShared (lifetime note
     // atop this file).
-    engine(*entry).OnReach(
+    built(i).engine->OnReach(
         level,
         [sh = shared, reg] {
           if (!reg->claim()) return;
@@ -1182,12 +1268,13 @@ struct CounterServer::Impl {
   }
 
   std::shared_ptr<WaitReg> make_reg(Connection& conn, std::uint64_t req_id,
-                                    std::uint64_t id, counter_value_t level) {
+                                    std::size_t counter,
+                                    counter_value_t level) {
     auto reg = std::make_shared<WaitReg>();
     reg->fd = conn.fd;
     reg->gen = conn.gen;
     reg->req_id = req_id;
-    reg->counter_id = id;
+    reg->counter = counter;
     reg->level = level;
     // Prune settled regs before growing, so a long-lived connection
     // keeps only its live parks; amortized O(1).
@@ -1223,13 +1310,10 @@ struct CounterServer::Impl {
     if (!r.get_u64(id) || !r.get_str16(reason)) {
       return bad_request(conn, req_id, "Poison: want id+reason");
     }
-    Entry* entry = entry_of(id);
-    if (entry == nullptr) {
-      return respond_message(conn, Status::kUnknownCounter, req_id,
-                             "no counter with id " + std::to_string(id));
-    }
-    flush_entry(*entry);  // increments before the freeze still count
-    poison_entry(*entry, std::string(reason));
+    const std::size_t i = table.index(id);
+    if (i == kNone) return unknown_counter(conn, req_id, id);
+    flush(i);  // increments before the freeze still count
+    poison(i, std::string(reason));
     if (persist()) journal_append(journal_poison_body(id, reason));
     respond(conn, Status::kOk, req_id);
   }
@@ -1267,13 +1351,10 @@ struct CounterServer::Impl {
                                {"shutdown_replies", s.shutdown_replies},
                            });
     }
-    Entry* entry = entry_of(id);
-    if (entry == nullptr) {
-      return respond_message(conn, Status::kUnknownCounter, req_id,
-                             "no counter with id " + std::to_string(id));
-    }
-    flush_entry(*entry);
-    const AnyCounter& counter = engine(*entry);
+    const std::size_t i = table.index(id);
+    if (i == kNone) return unknown_counter(conn, req_id, id);
+    flush(i);
+    const AnyCounter& counter = *built(i).engine;
     const CounterStatsSnapshot snap = counter.stats();
     respond_pairs(conn, req_id,
                   {
@@ -1323,8 +1404,7 @@ struct CounterServer::Impl {
                         c.message);
       } else {
         std::string body;
-        Entry* entry = entry_of(c.reg->counter_id);
-        put_u64(body, entry != nullptr ? entry->value() : c.reg->level);
+        put_u64(body, value(c.reg->counter));
         respond(it->second, Status::kReached, c.reg->req_id, body);
       }
     }
@@ -1340,31 +1420,29 @@ struct CounterServer::Impl {
       if (reg->settled.load(std::memory_order_acquire)) {
         continue;  // a timer or the death sweep settled (and counted) it
       }
-      Entry* entry = entry_of(reg->counter_id);
       auto it = conns.find(reg->fd);
       Connection* conn = (it != conns.end() && it->second.gen == reg->gen)
                              ? &it->second
                              : nullptr;
-      if (conn == nullptr || entry == nullptr) {
+      if (conn == nullptr) {
         if (reg->claim()) on_loop_claim(*reg);
         continue;
       }
-      flush_entry(*entry);
-      const counter_value_t value = entry->value();
-      if (value >= reg->level) {
+      flush(reg->counter);
+      const counter_value_t now = value(reg->counter);
+      if (now >= reg->level) {
         if (reg->claim()) {
           on_loop_claim(*reg);
           std::string body;
-          put_u64(body, value);
+          put_u64(body, now);
           respond(*conn, Status::kReached, reg->req_id, body);
         }
         continue;
       }
-      if (entry->poisoned()) {
+      if (poisoned(reg->counter)) {
         if (reg->claim()) {
           on_loop_claim(*reg);
-          respond_message(*conn, Status::kPoisoned, reg->req_id,
-                          "counter '" + entry->name + "' poisoned below level");
+          poisoned_below_level(*conn, reg->req_id, reg->counter);
         }
         continue;
       }
@@ -1414,7 +1492,7 @@ struct CounterServer::Impl {
   }
 
   void flush_dirty() {
-    for (const std::uint64_t id : dirty) flush_entry(*entry_of(id));
+    for (const std::size_t i : dirty) flush(i);
     dirty.clear();
   }
 

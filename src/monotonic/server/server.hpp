@@ -1,15 +1,15 @@
-// server.hpp — the counter-as-a-service shard server.
+// server.hpp — the counter-as-a-service server.
 //
 // The engine synchronizes threads in one process; the ROADMAP's
 // production story is millions of *users*.  This server is the bridge:
 // one event-loop thread multiplexes any number of client connections
-// (UNIX-domain socket first, optional loopback TCP) over N engine
-// shards, each logical counter a named entry picked by name hash — so
-// "millions of named counters" costs millions of map entries, not
-// millions of threads.  A counter's `make_counter` engine (striped
-// value plane, sharded wait index) is built when it is first needed:
-// at Open for any spec but the default, and for a default-spec counter
-// only when a wait parks on it, it is poisoned, or its Stats are read.
+// (UNIX-domain socket first, optional loopback TCP) over one dense
+// counter table indexed by name — so "millions of named counters"
+// costs millions of ~40 B table rows, not millions of threads.  A
+// counter's `make_counter` engine (striped value plane, sharded wait
+// index) is built when it is first needed: at Open for any spec but
+// the default, and for a default-spec counter only when a wait parks
+// on it, it is poisoned, or its Stats are read.
 //
 // The three engine mechanisms this PR-stack built are exactly the
 // three a server needs, and each is reused rather than reinvented:
@@ -65,8 +65,6 @@ struct ServerOptions {
   std::uint16_t tcp_port = 0;
   /// Bind TCP on an ephemeral port even when tcp_port == 0.
   bool tcp_any_port = false;
-  /// Engine shards: logical counters are distributed by name hash.
-  std::size_t shards = 4;
   /// Spec for counters opened with an empty spec string.  Such a
   /// counter holds a plain value and builds this engine only when a
   /// wait parks on it, it is poisoned or its Stats are read.  Lean: a
@@ -84,7 +82,9 @@ struct ServerOptions {
   /// comment for the wire semantics of each policy.
   OverloadPolicy overload_policy = OverloadPolicy::kThrow;
   /// Cap on open logical counters (0 = unlimited); excess Opens are
-  /// answered kOverloaded.
+  /// answered kOverloaded.  The table's own limits answer the same:
+  /// ids and name offsets are 32-bit, so at most 2^32 - 1 counters
+  /// and 4 GiB of name bytes.
   std::size_t max_counters = 0;
 
   // ---- fault tolerance (docs/server.md, "Fault tolerance") --------

@@ -9,9 +9,10 @@
 //
 //   server_recovery_child <uds_path> <state_file> [--no-fsync]
 //
-// Runs a persistent, SIGTERM-drainable shard server until a drain
-// completes (exit 0).  SIGKILL is the other way out — that is the
-// test's job.
+// Runs a persistent, SIGTERM-drainable server until a drain completes
+// (exit 0).  SIGKILL is the other way out — that is the test's job.
+// An empty <state_file> runs it in memory only; server_test measures
+// such a child's footprint.
 
 #include <chrono>
 #include <cstdio>

@@ -494,6 +494,104 @@ TEST(Recovery, RecordedListWaitPlaneSpecRestores) {
   ::unlink((o.state_file + ".journal").c_str());
 }
 
+TEST(Recovery, RestoresSparseShardSchemeIds) {
+  // State files written while the server hashed names over four shards
+  // hold sparse ids (index * 4 + shard + 1).  Restore maps them through
+  // the snapshot and journal onto dense ids, and a retrying client's
+  // in-flight operations follow its names across the epoch bump.
+  ms::ServerOptions o;
+  o.uds_path = unique_path("sparse.sock");
+  o.state_file = unique_path("sparse.state");
+  auto server = std::make_optional<ms::CounterServer>(o);
+  server->Start();
+  ms::ServerClient c =
+      ms::ServerClient::connect_uds(o.uds_path, retry_options());
+  const std::uint64_t alpha = c.open("alpha").id;
+  const std::uint64_t beta = c.open("beta").id;
+  const std::uint64_t gamma = c.open("gamma", "sharded:4+hybrid").id;
+  // Parked now, answered after the restart under remapped ids.
+  const std::uint64_t gamma_rid = c.on_reach_async(gamma, 31);
+  const std::uint64_t beta_rid = c.on_reach_async(beta, 1000);
+  const std::uint64_t first_epoch = c.epoch();
+  server->Stop();  // crash; the test writes the state the restart reads
+
+  ms::StateSnapshot snap;
+  snap.epoch = first_epoch;
+  snap.generation = 7;
+  snap.dedup_window = 4096;
+  // Restored in this order, so the new dense ids are gamma 1, alpha 2,
+  // beta 3 — none equal to the id the client cached for the same name.
+  snap.counters = {
+      {11, "gamma", "sharded:4+hybrid", 30, false, ""},
+      {1, "alpha", "hybrid", 10, false, ""},
+      {6, "beta", "hybrid", 20, false, ""},
+  };
+  ASSERT_TRUE(ms::save_snapshot(o.state_file, snap));
+  std::string journal = ms::encode_journal_header(snap.generation);
+  for (const std::string& body : {
+           ms::journal_increment_body(1, 5, 0, 0, 0),
+           ms::journal_increment_body(6, 2, 0, 0, 0),
+           ms::journal_open_body(16, "delta", "hybrid"),
+           ms::journal_increment_body(16, 4, 0, 0, 0),
+           ms::journal_poison_body(6, "beta halted"),
+           ms::journal_increment_body(6, 100, 0, 0, 0),  // after the poison
+           ms::journal_increment_body(11, 1, 0, 0, 0),
+           ms::journal_increment_body(21, 9, 0, 0, 0),  // no such counter
+       }) {
+    ms::append_journal_record(journal, body);
+  }
+  {
+    std::FILE* f = std::fopen((o.state_file + ".journal").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(journal.data(), 1, journal.size(), f),
+              journal.size());
+    std::fclose(f);
+  }
+
+  server.emplace(o);
+  server->Start();
+  EXPECT_EQ(server->epoch(), first_epoch + 1);
+  EXPECT_EQ(server->stats().restored_counters, 4u);
+  // The compacting snapshot Start wrote holds exact values, poison
+  // state and reason, and specs, under dense ids.
+  ms::StateSnapshot restored;
+  ASSERT_TRUE(ms::load_snapshot(o.state_file, restored));
+  ASSERT_EQ(restored.counters.size(), 4u);
+  const std::vector<ms::CounterRecord> want = {
+      {1, "gamma", "sharded:4+hybrid", 31, false, ""},
+      {2, "alpha", "hybrid", 15, false, ""},
+      {3, "beta", "hybrid", 22, true, "beta halted"},
+      {4, "delta", "hybrid", 4, false, ""},
+  };
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const ms::CounterRecord& got = restored.counters[i];
+    SCOPED_TRACE(want[i].name);
+    EXPECT_EQ(got.id, want[i].id);
+    EXPECT_EQ(got.name, want[i].name);
+    EXPECT_EQ(got.spec, want[i].spec);
+    EXPECT_EQ(got.value, want[i].value);
+    EXPECT_EQ(got.poisoned, want[i].poisoned);
+    EXPECT_EQ(got.poison_reason, want[i].poison_reason);
+  }
+  EXPECT_EQ(server->stats().epoch, first_epoch + 1);
+
+  // The increment below reconnects, remaps every id the client cached
+  // (its own and the two parked waits') by name, and replays them.
+  c.increment(alpha, 1);
+  EXPECT_EQ(c.epoch(), first_epoch + 1);
+  EXPECT_EQ(c.await_reach(gamma_rid), 31u);
+  EXPECT_THROW(c.await_reach(beta_rid), monotonic::CounterPoisonedError);
+  ms::ServerClient fresh = ms::ServerClient::connect_uds(o.uds_path);
+  EXPECT_EQ(fresh.resolve("alpha").value, 16u);
+  EXPECT_EQ(fresh.resolve("gamma").value, 31u);
+  EXPECT_EQ(fresh.resolve("beta").value, 22u);
+  EXPECT_EQ(fresh.resolve("delta").value, 4u);
+  EXPECT_EQ(fresh.stats(fresh.resolve("gamma").id).at("stripe_count"), 4u);
+  server->Stop();
+  ::unlink(o.state_file.c_str());
+  ::unlink((o.state_file + ".journal").c_str());
+}
+
 TEST(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
   const std::string sock = unique_path("epoch.sock");
   const std::string state = unique_path("epoch.state");

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <libgen.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -74,6 +78,70 @@ std::size_t rss_bytes() {
   return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 }
 
+/// Path of a binary built next to this test binary.
+std::string sibling_binary(const char* name) {
+  char self[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", self, sizeof(self) - 1);
+  if (n <= 0) return std::string("./") + name;
+  self[n] = '\0';
+  return std::string(::dirname(self)) + "/" + name;
+}
+
+/// VmRSS of process `pid`, from /proc/<pid>/status.
+std::size_t vm_rss_bytes(pid_t pid) {
+  std::size_t kb = 0;
+  const std::string path = "/proc/" + std::to_string(pid) + "/status";
+  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "VmRSS: %zu kB", &kb) == 1) break;
+    }
+    std::fclose(f);
+  }
+  return kb * 1024;
+}
+
+/// Sends one `op` (kOpen with the default spec, or kResolve) per name
+/// over `c`, pipelined in windows of 1024 frames, and returns the id
+/// each kOk reply carries (0 for any other reply), in name order.
+std::vector<std::uint64_t> pipelined_ids(
+    ms::ServerClient& c, ms::Op op, const std::vector<std::string>& names) {
+  constexpr std::size_t kWindow = 1024;
+  // Clear of the req_ids the client numbers its own requests with.
+  constexpr std::uint64_t kBase = std::uint64_t{1} << 40;
+  std::vector<std::uint64_t> ids(names.size(), 0);
+  for (std::size_t lo = 0; lo < names.size(); lo += kWindow) {
+    const std::size_t hi = std::min(names.size(), lo + kWindow);
+    std::string frames;
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::string body;
+      ms::put_str16(body, names[i]);
+      if (op == ms::Op::kOpen) ms::put_str16(body, "");
+      frames += ms::make_frame(static_cast<std::uint8_t>(op), kBase + i, body);
+    }
+    c.send_raw(frames);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto resp = c.read_response();
+      ms::Reader r(resp.body);
+      std::uint64_t id = 0;
+      if (resp.status == ms::Status::kOk && resp.req_id >= kBase + lo &&
+          resp.req_id < kBase + hi && r.get_u64(id)) {
+        ids[resp.req_id - kBase] = id;
+      }
+    }
+  }
+  return ids;
+}
+
+std::vector<std::string> numbered_names(const char* prefix, std::size_t n) {
+  std::vector<std::string> names;
+  names.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back(prefix + std::to_string(i));
+  }
+  return names;
+}
+
 // Sanitizer runtimes pad and quarantine allocations, so RSS growth
 // there says nothing about the server's own footprint.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -133,10 +201,8 @@ TEST(ServerBasics, UnknownCounterId) {
   EXPECT_THROW(c.increment(999, 1), std::invalid_argument);
 }
 
-TEST(ServerBasics, ManyCountersShardByName) {
-  ms::ServerOptions opts;
-  opts.shards = 4;
-  ServerFixture fx(opts);
+TEST(ServerBasics, ManyCountersByName) {
+  ServerFixture fx;
   ms::ServerClient c = fx.connect();
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 200; ++i) {
@@ -150,6 +216,57 @@ TEST(ServerBasics, ManyCountersShardByName) {
   }
   const auto st = c.stats();
   EXPECT_EQ(st.at("counters_open"), 200u);
+}
+
+TEST(ServerBasics, OutOfRangeIdsAreUnknown) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  // 200k names cross many index doublings and table pages; reopening
+  // and resolving each must find the id its Open returned.
+  constexpr std::size_t kCounters = 200'000;
+  const std::vector<std::string> names = numbered_names("n", kCounters);
+  const std::vector<std::uint64_t> ids =
+      pipelined_ids(c, ms::Op::kOpen, names);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), 0u), 0);
+  EXPECT_EQ(pipelined_ids(c, ms::Op::kOpen, names), ids);
+  EXPECT_EQ(pipelined_ids(c, ms::Op::kResolve, names), ids);
+  EXPECT_EQ(c.stats().at("counters_open"), kCounters);
+
+  const std::uint64_t live = ids.back();
+  c.increment(live, 7);
+  const std::uint64_t size = kCounters;
+  for (const std::uint64_t id :
+       {std::uint64_t{0}, size + 1, (std::uint64_t{1} << 32) + live,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    auto status = [&](ms::Op op) {
+      std::string body;
+      ms::put_u64(body, id);
+      if (op == ms::Op::kPoison) ms::put_str16(body, "must not land");
+      if (op != ms::Op::kPoison && op != ms::Op::kStats) {
+        ms::put_u64(body, 1);  // amount or level
+      }
+      if (op == ms::Op::kIncrement) ms::put_u8(body, 0);  // acked
+      if (op == ms::Op::kCheckFor) ms::put_u64(body, 1'000'000);  // timeout
+      return c.request(op, body).status;
+    };
+    for (const ms::Op op : {ms::Op::kIncrement, ms::Op::kCheck,
+                            ms::Op::kCheckFor, ms::Op::kPoison}) {
+      EXPECT_EQ(status(op), ms::Status::kUnknownCounter)
+          << "op " << static_cast<int>(op);
+    }
+    // Stats on id 0 is the server-wide handle, not a counter.
+    if (id != 0) {
+      EXPECT_EQ(status(ms::Op::kStats), ms::Status::kUnknownCounter);
+    }
+  }
+  // Nothing aliased a live counter: no increment landed, no poison.
+  EXPECT_EQ(c.check(live, 7), 7u);
+  EXPECT_EQ(c.check(ids.front(), 0), 0u);
+  c.increment(live, 1);
+  c.increment(ids.front(), 1);
+  EXPECT_EQ(c.resolve(names.back()).value, 8u);
+  EXPECT_EQ(c.resolve(names.front()).value, 1u);
 }
 
 TEST(ServerParking, BlockingCheckParksConnectionNotThread) {
@@ -640,6 +757,57 @@ TEST(ServerFootprint, UnwaitedCountersHoldNoEngine) {
   // Client-side name bookkeeping is in the figure too.  A counter that
   // builds its "hybrid" engine at Open costs ~1.2 KB.
   EXPECT_LT((after > before ? after - before : 0) / kCounters, 512u);
+}
+
+TEST(ServerFootprint, DenseTableUnder96BytesPerCounter) {
+  if (kSanitized) GTEST_SKIP() << "RSS is not measurable under a sanitizer";
+  // The server runs in its own process, so its VmRSS holds only the
+  // server; the client's bookkeeping stays in this one.  The child is
+  // exec'd, not just forked: a forked copy of this binary would carry
+  // its free but resident heap, which absorbs the table's growth unseen.
+  // An empty state file keeps the server in memory, like ServerOptions{}.
+  const std::string path = unique_sock_path();
+  const std::string bin = sibling_binary("server_recovery_child");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::execl(bin.c_str(), bin.c_str(), path.c_str(), "",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  constexpr std::size_t kCounters = 100'000;
+  std::size_t before = 0, after = 0, opened = 0;
+  std::optional<ms::ServerClient> c;
+  const bool listening = eventually([&] {
+    try {
+      c.emplace(ms::ServerClient::connect_uds(path));
+      return true;
+    } catch (const std::exception&) {
+      return false;
+    }
+  });
+  if (listening) {
+    c->open("warm-up");
+    before = vm_rss_bytes(pid);
+    // Named the way the rpc_spread benchmark names its counters.
+    const std::vector<std::uint64_t> ids =
+        pipelined_ids(*c, ms::Op::kOpen, numbered_names("c", kCounters));
+    opened = static_cast<std::size_t>(
+        std::count_if(ids.begin(), ids.end(), [](auto id) { return id != 0; }));
+    after = vm_rss_bytes(pid);
+  }
+  ::kill(pid, SIGTERM);  // the child drains and exits 0
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(listening) << bin << " never listened on " << path;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(opened, kCounters);
+  ASSERT_GT(before, 0u);
+  const std::size_t per_counter =
+      (after > before ? after - before : 0) / kCounters;
+  std::printf("server VmRSS %zu -> %zu B: %zu B per counter\n", before, after,
+              per_counter);
+  EXPECT_LE(per_counter, 96u);
 }
 
 // ---- multi-process integration -------------------------------------
