@@ -3,7 +3,7 @@
 // Single-threaded by construction: every map, buffer and timer below
 // is owned by the event-loop thread.  The only cross-thread traffic is
 // (a) the completion queue, fed by executor workers when a parked
-// wait's OnReach fires, drained by the loop after a wakeup-pipe poke,
+// wait's OnReach fires, drained by the loop after an eventfd poke,
 // and (b) the atomic stats gauges.  Wait registrations are shared
 // with the engine through WaitReg tombstones: whoever settles a wait
 // first — the completion firing, a CheckFor timer, a disconnect sweep
@@ -18,14 +18,16 @@
 // fd, parked gauge) is the only state they may touch.  ~Impl tears
 // down in the one safe order: stop the loop, destroy the counters
 // (dropping their executor refs), then the executor (drains + joins),
-// then the wakeup pipe.
+// then the wakeup eventfd.
 
 #include "monotonic/server/server.hpp"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <sched.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -60,11 +62,6 @@ namespace monotonic::server {
 
 namespace {
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -98,7 +95,7 @@ counter_value_t checked_default_max(const std::string& spec) {
 
 // SIGTERM → graceful drain (ServerOptions::drain_on_sigterm).  The
 // handler may only touch async-signal-safe state: a flag the event
-// loop polls and a write() to the wakeup pipe that makes it poll NOW.
+// loop polls and a write() to the wakeup eventfd that wakes it NOW.
 // Process-wide by necessity — one drain-on-signal server per process.
 // The flag is a lock-free atomic, not a volatile sig_atomic_t: the
 // handler runs on whichever thread took the signal, and the loop
@@ -107,13 +104,26 @@ std::atomic<int> g_sigterm_pending{0};
 std::atomic<int> g_sigterm_wake_fd{-1};
 static_assert(std::atomic<int>::is_always_lock_free);
 
+/// Wakes whoever waits on eventfd `fd`.  An eventfd takes exactly 8
+/// bytes: a shorter write fails with EINVAL and wakes nobody.
+void poke_eventfd(int fd) {
+  if (fd >= 0) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof(one));
+  }
+}
+
 void sigterm_handler(int) {
   g_sigterm_pending.store(1, std::memory_order_relaxed);
-  const int fd = g_sigterm_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(fd, &byte, 1);
-  }
+  poke_eventfd(g_sigterm_wake_fd.load(std::memory_order_relaxed));
+}
+
+/// Whether this thread may run on more than one CPU.  On one CPU a
+/// spinning loop only steals the time of the client it waits for.
+bool several_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return ::sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 1;
 }
 
 /// The loop-owned counter table.  A counter is a dense index i; its wire
@@ -299,13 +309,7 @@ struct CounterServer::Impl {
       poke();
     }
 
-    void poke() {
-      const int fd = wake_fd.load(std::memory_order_acquire);
-      if (fd >= 0) {
-        const char byte = 1;
-        [[maybe_unused]] ssize_t n = ::write(fd, &byte, 1);
-      }
-    }
+    void poke() { poke_eventfd(wake_fd.load(std::memory_order_acquire)); }
   };
 
   // ---- connections ------------------------------------------------
@@ -313,6 +317,7 @@ struct CounterServer::Impl {
   struct Connection {
     int fd = -1;
     std::uint64_t gen = 0;
+    std::uint32_t events = EPOLLIN;  ///< the epoll interest registered
     std::string rbuf;
     std::size_t roff = 0;  ///< parsed prefix of rbuf
     std::string wbuf;
@@ -346,7 +351,7 @@ struct CounterServer::Impl {
 
   struct Timer {
     std::chrono::steady_clock::time_point deadline;
-    std::shared_ptr<WaitReg> reg;
+    std::shared_ptr<WaitReg> reg;  ///< null = re-arm the listeners
     bool operator>(const Timer& o) const { return deadline > o.deadline; }
   };
 
@@ -369,8 +374,9 @@ struct CounterServer::Impl {
 
   int uds_fd = -1;
   int tcp_fd = -1;
-  int wake_r = -1;
-  int wake_w = -1;
+  int epoll_fd = -1;  ///< every fd below is registered here once
+  int wake_fd = -1;   ///< eventfd: completions, Stop/Drain, SIGTERM
+  bool accept_paused = false;  ///< listeners unwatched after EMFILE
   std::uint16_t bound_tcp_port = 0;
   std::thread loop;
   std::atomic<bool> stopping{false};
@@ -394,7 +400,7 @@ struct CounterServer::Impl {
       s_rejections{0}, s_batched{0}, s_flushes{0}, s_proto_errors{0},
       s_bytes_in{0}, s_bytes_out{0}, s_restored{0}, s_snapshots{0},
       s_journal_records{0}, s_journal_bytes{0}, s_sessions{0}, s_dedup{0},
-      s_slow_consumer{0}, s_shutdown_replies{0};
+      s_slow_consumer{0}, s_shutdown_replies{0}, s_parks{0}, s_spin_ns{0};
 
   explicit Impl(ServerOptions o)
       : opts(std::move(o)), inline_max(checked_default_max(opts.default_spec)) {
@@ -406,13 +412,13 @@ struct CounterServer::Impl {
   ~Impl() {
     stop();
     // Counters drop their executor refs, then the (now sole) executor
-    // ref drains and joins the workers, then the pipe the workers were
-    // poking can close.  See the lifetime note atop this file.
+    // ref drains and joins the workers, then the eventfd the workers
+    // were poking can close.  See the lifetime note atop this file.
     table = {};
     executor.reset();
-    if (journal_fd >= 0) ::close(journal_fd);
-    if (wake_r >= 0) ::close(wake_r);
-    if (wake_w >= 0) ::close(wake_w);
+    for (const int fd : {journal_fd, wake_fd, epoll_fd}) {
+      if (fd >= 0) ::close(fd);
+    }
   }
 
   bool persist() const { return !opts.state_file.empty(); }
@@ -499,19 +505,20 @@ struct CounterServer::Impl {
 
   void start() {
     if (started) return;
-    if (wake_r < 0) {
-      int pipefd[2];
-      if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0) throw_errno("pipe2");
-      wake_r = pipefd[0];
-      wake_w = pipefd[1];
-      shared->wake_fd.store(wake_w, std::memory_order_release);
+    if (epoll_fd < 0) {
+      epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+      if (epoll_fd < 0) throw_errno("epoll_create1");
+      wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (wake_fd < 0) throw_errno("eventfd");
+      if (!watch(wake_fd, EPOLL_CTL_ADD, EPOLLIN)) throw_errno("epoll_ctl");
+      shared->wake_fd.store(wake_fd, std::memory_order_release);
     }
     // Restore BEFORE the listeners bind: no client can observe a
     // partially restored name table.
     if (persist()) restore_state();
     if (opts.drain_on_sigterm) {
       g_sigterm_pending.store(0, std::memory_order_relaxed);
-      g_sigterm_wake_fd.store(wake_w, std::memory_order_relaxed);
+      g_sigterm_wake_fd.store(wake_fd, std::memory_order_relaxed);
       struct sigaction sa{};
       sa.sa_handler = sigterm_handler;
       ::sigemptyset(&sa.sa_mask);
@@ -722,6 +729,7 @@ struct CounterServer::Impl {
       throw_errno("bind(AF_UNIX)");
     }
     if (::listen(uds_fd, 128) != 0) throw_errno("listen(AF_UNIX)");
+    if (!watch(uds_fd, EPOLL_CTL_ADD, EPOLLIN)) throw_errno("epoll_ctl");
   }
 
   void bind_tcp() {
@@ -737,6 +745,7 @@ struct CounterServer::Impl {
       throw_errno("bind(127.0.0.1)");
     }
     if (::listen(tcp_fd, 128) != 0) throw_errno("listen(tcp)");
+    if (!watch(tcp_fd, EPOLL_CTL_ADD, EPOLLIN)) throw_errno("epoll_ctl");
     socklen_t len = sizeof(addr);
     ::getsockname(tcp_fd, reinterpret_cast<sockaddr*>(&addr), &len);
     bound_tcp_port = ntohs(addr.sin_port);
@@ -747,7 +756,7 @@ struct CounterServer::Impl {
     stopping.store(true);
     shared->poke();
     if (loop.joinable()) loop.join();
-    for (auto& [fd, conn] : conns) ::close(fd);
+    for (auto& [fd, conn] : conns) unwatch_and_close(fd);
     conns.clear();
     close_listeners();
     started = false;
@@ -755,48 +764,62 @@ struct CounterServer::Impl {
 
   void close_listeners() {
     for (int* fd : {&uds_fd, &tcp_fd}) {
-      if (*fd >= 0) ::close(std::exchange(*fd, -1));
+      if (*fd >= 0) unwatch_and_close(std::exchange(*fd, -1));
     }
+    accept_paused = false;
     if (!opts.uds_path.empty()) ::unlink(opts.uds_path.c_str());
+  }
+
+  /// Level-triggered: an fd reports for as long as it is ready.
+  bool watch(int fd, int op, std::uint32_t events) {
+    epoll_event ev{};
+    ev.events = events;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
+  }
+
+  /// Deregisters before closing: close() alone leaves the registration
+  /// live while a forked child still holds the socket, and its events
+  /// would then arrive under an fd number since reused.
+  void unwatch_and_close(int fd) {
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+    ::close(fd);
   }
 
   // ---- event loop -------------------------------------------------
 
+  /// How long the loop polls before it parks.  A park sleeps the loop's
+  /// CPU, and the next request then pays to wake it (on a VM, a
+  /// hypervisor wake): a short spin keeps a busy loop awake, and costs a
+  /// sparse one a single window per burst (see wait_for_events()).
+  static constexpr std::chrono::microseconds kSpin{50};
+
   void run() {
-    std::vector<pollfd> pfds;
+    const bool may_spin = several_cpus();
+    // No spin until a wait has been short: there is no traffic yet.
+    auto last_wait = std::chrono::steady_clock::duration::max();
+    constexpr int kMaxEvents = 256;
+    epoll_event events[kMaxEvents];
     std::vector<int> ready;
     while (!stopping.load(std::memory_order_relaxed)) {
-      pfds.clear();
-      pfds.push_back({wake_r, POLLIN, 0});
-      if (uds_fd >= 0) pfds.push_back({uds_fd, POLLIN, 0});
-      if (tcp_fd >= 0) pfds.push_back({tcp_fd, POLLIN, 0});
-      for (auto& [fd, conn] : conns) {
-        short events = 0;
-        if (!conn.gated) events |= POLLIN;
-        if (conn.woff < conn.wbuf.size()) events |= POLLOUT;
-        pfds.push_back({fd, events, 0});
-      }
-      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), poll_timeout_ms());
+      const int n = wait_for_events(events, kMaxEvents, may_spin, last_wait);
       if (stopping.load(std::memory_order_relaxed)) break;
 
-      // Wakeup pipe: drain, then take the completion queue.
-      if (pfds[0].revents & POLLIN) {
-        char buf[256];
-        while (::read(wake_r, buf, sizeof(buf)) > 0) {
+      // Dispatch may open or close connections, so connection fds are
+      // collected first and looked up again below.
+      ready.clear();
+      for (int k = 0; k < n; ++k) {
+        const int fd = events[k].data.fd;
+        if (fd == wake_fd) {
+          std::uint64_t pokes = 0;
+          [[maybe_unused]] ssize_t r = ::read(wake_fd, &pokes, sizeof(pokes));
+        } else if (fd == uds_fd || fd == tcp_fd) {
+          accept_all(fd);
+        } else {
+          ready.push_back(fd);
         }
       }
       drain_completions();
-
-      std::size_t i = 1;
-      if (uds_fd >= 0 && (pfds[i++].revents & POLLIN)) accept_all(uds_fd);
-      if (tcp_fd >= 0 && (pfds[i++].revents & POLLIN)) accept_all(tcp_fd);
-
-      // Snapshot ready fds: dispatch may open/close connections, which
-      // mutates `conns` under us otherwise.
-      ready.clear();
-      for (; i < pfds.size(); ++i) {
-        if (pfds[i].revents != 0) ready.push_back(pfds[i].fd);
-      }
       for (int fd : ready) {
         auto it = conns.find(fd);
         if (it == conns.end()) continue;
@@ -816,13 +839,50 @@ struct CounterServer::Impl {
       flush_writes();
       reap_dead();
 
-      if (drain_requested.load(std::memory_order_relaxed) ||
-          (opts.drain_on_sigterm &&
-           g_sigterm_pending.load(std::memory_order_relaxed) != 0)) {
+      if (drain_pending()) {
         perform_drain();
         break;
       }
     }
+  }
+
+  bool drain_pending() const {
+    return drain_requested.load(std::memory_order_relaxed) ||
+           (opts.drain_on_sigterm &&
+            g_sigterm_pending.load(std::memory_order_relaxed) != 0);
+  }
+
+  /// The tick's epoll_wait.  When nothing is ready, it polls for up to
+  /// kSpin before it blocks, except on one CPU or after a wait that
+  /// outlasted kSpin.  The spin never runs past the next timer deadline
+  /// and ends at once on Stop or a drain.  `last_wait` carries the
+  /// previous wait's length in and this one's out.
+  int wait_for_events(epoll_event* events, int max, bool may_spin,
+                      std::chrono::steady_clock::duration& last_wait) {
+    using clock = std::chrono::steady_clock;
+    const auto exiting = [this] {
+      return stopping.load(std::memory_order_relaxed) || drain_pending();
+    };
+    const auto begin = clock::now();
+    int n = ::epoll_wait(epoll_fd, events, max, 0);
+    if (n == 0 && may_spin && last_wait <= kSpin) {
+      auto until = begin + kSpin;
+      if (!timers.empty()) until = std::min(until, timers.top().deadline);
+      auto now = begin;
+      while (n == 0 && now < until && !exiting()) {
+        n = ::epoll_wait(epoll_fd, events, max, 0);
+        now = clock::now();
+      }
+      s_spin_ns.fetch_add(static_cast<std::uint64_t>(
+                              std::chrono::nanoseconds(now - begin).count()),
+                          std::memory_order_relaxed);
+    }
+    if (n == 0 && !exiting()) {
+      s_parks.fetch_add(1, std::memory_order_relaxed);
+      n = ::epoll_wait(epoll_fd, events, max, wait_timeout_ms());
+    }
+    last_wait = clock::now() - begin;
+    return std::max(n, 0);  // -1: EINTR
   }
 
   /// Rewrite the snapshot once the journal outgrows its budget —
@@ -891,7 +951,7 @@ struct CounterServer::Impl {
     stopping.store(true, std::memory_order_relaxed);
   }
 
-  int poll_timeout_ms() {
+  int wait_timeout_ms() {
     using namespace std::chrono;
     // The degraded poll list needs a tick cadence even when the
     // sockets are quiet; 1ms mirrors the engine gate's bounded nap.
@@ -905,9 +965,19 @@ struct CounterServer::Impl {
 
   void accept_all(int listen_fd) {
     for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) return;
-      set_nonblocking(fd);
+      const int fd =
+          ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0) {
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          pause_accept();
+        }
+        return;
+      }
+      if (!watch(fd, EPOLL_CTL_ADD, EPOLLIN)) {
+        ::close(fd);
+        continue;
+      }
       Connection conn;
       conn.fd = fd;
       conn.gen = ++next_gen_;
@@ -917,6 +987,28 @@ struct CounterServer::Impl {
     }
   }
   std::uint64_t next_gen_ = 0;
+
+  /// Out of fds, a listener stays readable and every wait would return
+  /// at once.  Unwatch the listeners until a connection closes
+  /// (reap_dead) or, at the latest, 100 ms on (a listener-less Timer).
+  void pause_accept() {
+    if (accept_paused) return;
+    accept_paused = true;
+    for (const int fd : {uds_fd, tcp_fd}) {
+      if (fd >= 0) watch(fd, EPOLL_CTL_MOD, 0);
+    }
+    timers.push(Timer{
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100),
+        nullptr});
+  }
+
+  void resume_accept() {
+    if (!accept_paused) return;
+    accept_paused = false;
+    for (const int fd : {uds_fd, tcp_fd}) {
+      if (fd >= 0) watch(fd, EPOLL_CTL_MOD, EPOLLIN);
+    }
+  }
 
   // ---- per-connection I/O -----------------------------------------
 
@@ -943,7 +1035,8 @@ struct CounterServer::Impl {
   }
 
   void parse_frames(Connection& conn) {
-    while (!conn.dead) {
+    // A gated connection's input waits for retry_gated(), in order.
+    while (!conn.dead && !conn.gated) {
       const std::size_t avail = conn.rbuf.size() - conn.roff;
       if (avail < 4) break;
       Reader len_r(conn.rbuf.data() + conn.roff, 4);
@@ -969,7 +1062,6 @@ struct CounterServer::Impl {
       const std::string_view payload(conn.rbuf.data() + conn.roff + 4, len);
       conn.roff += 4 + len;
       dispatch(conn, payload);
-      if (conn.gated) break;  // backpressure: stop consuming input
     }
     if (conn.roff == conn.rbuf.size()) {
       conn.rbuf.clear();
@@ -1349,6 +1441,8 @@ struct CounterServer::Impl {
                                {"slow_consumer_disconnects",
                                 s.slow_consumer_disconnects},
                                {"shutdown_replies", s.shutdown_replies},
+                               {"loop_parks", s.loop_parks},
+                               {"loop_spin_us", s.loop_spin_us},
                            });
     }
     const std::size_t i = table.index(id);
@@ -1456,6 +1550,10 @@ struct CounterServer::Impl {
     while (!timers.empty() && timers.top().deadline <= now) {
       std::shared_ptr<WaitReg> reg = timers.top().reg;
       timers.pop();
+      if (!reg) {
+        resume_accept();
+        continue;
+      }
       if (!reg->claim()) continue;
       on_loop_claim(*reg);
       auto it = conns.find(reg->fd);
@@ -1521,6 +1619,15 @@ struct CounterServer::Impl {
         conn.wbuf.erase(0, conn.woff);
         conn.woff = 0;
       }
+      // Level-triggered, so watch only what the tick can act on: no
+      // input while gated (kBlockIncrementers), and writability only
+      // while bytes wait, or every wait would return at once.
+      std::uint32_t events = 0;
+      if (!conn.gated) events |= EPOLLIN;
+      if (conn.woff < conn.wbuf.size()) events |= EPOLLOUT;
+      if (events != conn.events && watch(fd, EPOLL_CTL_MOD, events)) {
+        conn.events = events;
+      }
     }
   }
 
@@ -1540,9 +1647,10 @@ struct CounterServer::Impl {
         if (reg->claim()) on_loop_claim(*reg);
       }
       if (conn.gated) s_gated.fetch_sub(1, std::memory_order_relaxed);
-      ::close(conn.fd);
+      unwatch_and_close(conn.fd);
       s_conns.fetch_sub(1, std::memory_order_relaxed);
       it = conns.erase(it);
+      resume_accept();  // a freed fd may take a pending connection
     }
   }
 
@@ -1572,6 +1680,8 @@ struct CounterServer::Impl {
     s.slow_consumer_disconnects =
         s_slow_consumer.load(std::memory_order_relaxed);
     s.shutdown_replies = s_shutdown_replies.load(std::memory_order_relaxed);
+    s.loop_parks = s_parks.load(std::memory_order_relaxed);
+    s.loop_spin_us = s_spin_ns.load(std::memory_order_relaxed) / 1000;
     return s;
   }
 };

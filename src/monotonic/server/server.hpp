@@ -18,8 +18,8 @@
 //     CONNECTION as an OnReach registration firing on the shared
 //     ThreadPoolExecutor (injected into every counter via
 //     make_counter(spec, executor)), which posts a completion record
-//     back to the event loop through the wakeup pipe — no server
-//     thread ever blocks on a counter;
+//     back to the event loop and wakes it through an eventfd — no
+//     server thread ever blocks on a counter;
 //   * write-side batching is an inline per-counter sum: increments
 //     within one event-loop tick apply as one engine Increment at tick
 //     end or before any read of the same counter, preserving
@@ -151,6 +151,8 @@ struct ServerStats {
   std::uint64_t dedup_hits = 0;         ///< retried increments absorbed
   std::uint64_t slow_consumer_disconnects = 0;
   std::uint64_t shutdown_replies = 0;   ///< waits answered kShuttingDown
+  std::uint64_t loop_parks = 0;         ///< event-loop waits that blocked
+  std::uint64_t loop_spin_us = 0;       ///< event-loop time spun polling
 };
 
 /// The event-loop server.  Construct, Start(), connect clients

@@ -2,13 +2,18 @@
 // round-trips, parked connections, wire-protocol robustness (truncated
 // / corrupt / oversized frames), disconnect-while-parked registration
 // cleanup, poison propagation as typed errors, the overload policy
-// triple, and a forked multi-process integration test.
+// triple, how the event loop waits, and a forked multi-process
+// integration test.
 
 #include <gtest/gtest.h>
 
 #include <libgen.h>
+#include <poll.h>
+#include <sched.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,7 +22,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,6 +166,104 @@ bool eventually(Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return pred();
+}
+
+/// Forks and execs server_recovery_child, serving `path` in memory.
+/// `prepare` runs in the forked child before the exec, so what it sets
+/// (CPU affinity, rlimits) holds for the server.  The child is exec'd,
+/// not just forked: a fresh process holds only the server.
+template <typename Prepare>
+pid_t spawn_server(const std::string& path, Prepare prepare) {
+  const std::string bin = sibling_binary("server_recovery_child");
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    if (prepare()) {
+      ::execl(bin.c_str(), bin.c_str(), path.c_str(), "",
+              static_cast<char*>(nullptr));
+    }
+    ::_exit(127);
+  }
+  return pid;
+}
+
+/// SIGKILLs and reaps a child process on scope exit, so a failed
+/// assertion leaves no server behind; pid -1 = already reaped.
+struct ChildGuard {
+  pid_t pid;
+  ~ChildGuard() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
+/// User + system CPU time of this process.
+std::chrono::microseconds self_cpu_time() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto us = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return us(ru.ru_utime) + us(ru.ru_stime);
+}
+
+/// User + system CPU time of process `pid`, from /proc/<pid>/stat;
+/// -1 ms when it cannot be read.
+std::chrono::milliseconds cpu_time(pid_t pid) {
+  char buf[1024] = {};
+  const std::string path = "/proc/" + std::to_string(pid) + "/stat";
+  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
+    [[maybe_unused]] std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+    std::fclose(f);
+  }
+  // Fields 14 and 15, counted from after the parenthesized command.
+  const char* rest = std::strrchr(buf, ')');
+  unsigned long utime = 0, stime = 0;
+  if (rest == nullptr ||
+      std::sscanf(rest + 1,
+                  " %*c %*d %*d %*d %*d %*d %*u %*u %*u %*u %*u %lu %lu",
+                  &utime, &stime) != 2) {
+    return std::chrono::milliseconds(-1);
+  }
+  return std::chrono::milliseconds((utime + stime) * 1000 /
+                                   ::sysconf(_SC_CLK_TCK));
+}
+
+/// A bare UDS connection with no Hello, so it can wait in the
+/// listener's backlog without blocking the caller; -1 on failure.
+int raw_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void send_open(int fd, const std::string& name) {
+  std::string body;
+  ms::put_str16(body, name);
+  ms::put_str16(body, "");
+  const std::string frame =
+      ms::make_frame(static_cast<std::uint8_t>(ms::Op::kOpen), 1, body);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+}
+
+/// True when a kOk frame arrives on `fd` within `timeout`.
+bool answered_ok(int fd, std::chrono::milliseconds timeout) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, static_cast<int>(timeout.count())) != 1) return false;
+  char reply[64];
+  const ssize_t n = ::recv(fd, reply, sizeof(reply), 0);
+  // u32 length, then the status byte.
+  return n > 4 && static_cast<ms::Status>(reply[4]) == ms::Status::kOk;
 }
 
 TEST(ServerBasics, OpenIncrementCheckRoundTrip) {
@@ -572,6 +678,50 @@ TEST(ServerOverload, BlockIncrementersBackpressuresConnection) {
   EXPECT_EQ(fx.server().stats().gated_connections, 0u);
 }
 
+TEST(ServerOverload, GatedConnectionDoesNotSpinTheLoop) {
+  ms::ServerOptions opts;
+  opts.max_parked_waits = 1;
+  opts.overload_policy = OverloadPolicy::kBlockIncrementers;
+  ServerFixture fx(opts);
+  ms::ServerClient gated = fx.connect();
+  ms::ServerClient inc = fx.connect();
+  const auto opened = gated.open("gated-idle");
+  inc.open("gated-idle");
+  const std::uint64_t first = gated.on_reach_async(opened.id, 5);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().parked_waits == 1; }));
+  const std::uint64_t second = gated.on_reach_async(opened.id, 7);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().gated_connections == 1; }));
+
+  // Frames behind the gate stay unread in the socket, which stays
+  // readable: the loop must not wake for it while the gate holds.
+  constexpr std::uint64_t kBase = std::uint64_t{1} << 40;
+  constexpr int kDeferred = 8;
+  std::string frames;
+  for (int k = 0; k < kDeferred; ++k) {
+    std::string body;
+    ms::put_u64(body, opened.id);
+    ms::put_u64(body, 0);
+    frames += ms::make_frame(static_cast<std::uint8_t>(ms::Op::kCheck),
+                             kBase + k, body);
+  }
+  gated.send_raw(frames);
+  const auto cpu_before = self_cpu_time();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(self_cpu_time() - cpu_before, std::chrono::milliseconds(50));
+
+  // Capacity frees: the deferred wait parks, then the unread frames
+  // are read and answered.
+  inc.increment(opened.id, 5);
+  EXPECT_EQ(gated.await_reach(first), 5u);
+  for (int k = 0; k < kDeferred; ++k) {
+    EXPECT_EQ(gated.await_response(kBase + k).status, ms::Status::kReached);
+  }
+  inc.increment(opened.id, 2);
+  EXPECT_EQ(gated.await_reach(second), 7u);
+}
+
 // ---- wire-protocol robustness --------------------------------------
 
 TEST(ServerRobustness, OversizedFrameClosesConnection) {
@@ -719,6 +869,125 @@ TEST(ServerRobustness, TcpListenerWorksToo) {
   server.Stop();
 }
 
+TEST(ServerRobustness, FdExhaustionDoesNotSpinTheLoop) {
+  const std::string path = unique_sock_path();
+  const pid_t pid = spawn_server(path, [] {
+    rlimit lim{};
+    ::getrlimit(RLIMIT_NOFILE, &lim);
+    lim.rlim_cur = std::min<rlim_t>(lim.rlim_max, 24);
+    return ::setrlimit(RLIMIT_NOFILE, &lim) == 0;
+  });
+  ASSERT_GE(pid, 0);
+  const ChildGuard child{pid};
+  // Connect until the server runs out of descriptors: each connection
+  // the server accepted answers its Open, and the first it cannot
+  // accept waits in the listen backlog, its Open unread.
+  std::vector<int> accepted;
+  int waiting = -1;
+  ASSERT_TRUE(eventually([&] {
+    const int fd = raw_connect(path);
+    if (fd >= 0) accepted.push_back(fd);
+    return fd >= 0;
+  })) << "server_recovery_child never listened on " << path;
+  send_open(accepted.front(), "fd-0");
+  ASSERT_TRUE(answered_ok(accepted.front(), std::chrono::seconds(5)));
+  for (int i = 1; i < 64 && waiting < 0; ++i) {
+    const int fd = raw_connect(path);
+    ASSERT_GE(fd, 0);
+    send_open(fd, "fd-" + std::to_string(i));
+    if (answered_ok(fd, std::chrono::seconds(1))) {
+      accepted.push_back(fd);
+    } else {
+      waiting = fd;
+    }
+  }
+  ASSERT_GE(waiting, 0) << "the server never ran out of descriptors";
+  ASSERT_GE(accepted.size(), 2u);
+  const int more = raw_connect(path);  // a second one in the backlog
+
+  // The listener stays readable; the loop must not wake for it.
+  const auto before = cpu_time(pid);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto after = cpu_time(pid);
+  ASSERT_GE(before.count(), 0);
+  ASSERT_GE(after.count(), 0);
+  EXPECT_LT(after - before, std::chrono::milliseconds(50));
+
+  // Freed descriptors take the waiting connections.
+  for (int k = 0; k < 2; ++k) {
+    ::close(accepted.back());
+    accepted.pop_back();
+  }
+  EXPECT_TRUE(answered_ok(waiting, std::chrono::seconds(2)));
+
+  for (const int fd : accepted) ::close(fd);
+  ::close(waiting);
+  if (more >= 0) ::close(more);
+}
+
+// ---- the event loop's wait -----------------------------------------
+
+TEST(ServerLoop, IdleLoopParks) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("burst");
+  for (int i = 0; i < 2000; ++i) c.increment(opened.id, 1);
+  const auto before = c.stats();
+  const auto cpu_before = self_cpu_time();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(self_cpu_time() - cpu_before, std::chrono::milliseconds(50));
+  const auto after = c.stats();
+  EXPECT_GT(after.at("loop_parks"), before.at("loop_parks"));
+  // One 50 us spin window after the burst, then a park; a few windows
+  // of slack for a slow clock read at the window's end.
+  EXPECT_LE(after.at("loop_spin_us") - before.at("loop_spin_us"), 4 * 50u);
+}
+
+TEST(ServerLoop, SingleCpuNeverSpins) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(set), &set), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &set)) ++cpu;
+  const std::string path = unique_sock_path();
+  const pid_t pid = spawn_server(path, [cpu] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return ::sched_setaffinity(0, sizeof(one), &one) == 0;
+  });
+  ASSERT_GE(pid, 0);
+  ChildGuard child{pid};
+  std::map<std::string, std::uint64_t> stats;
+  std::optional<ms::ServerClient> c;
+  const bool listening = eventually([&] {
+    try {
+      c.emplace(ms::ServerClient::connect_uds(path));
+      return true;
+    } catch (const std::exception&) {
+      return false;
+    }
+  });
+  if (listening) {
+    const auto opened = c->open("one-cpu");
+    for (int i = 0; i < 10'000; ++i) c->increment(opened.id, 1);
+    stats = c->stats();
+  }
+  // SIGTERM pokes the eventfd, so the drain starts at once rather
+  // than when the loop's 1 s wait times out.
+  const auto drain_start = std::chrono::steady_clock::now();
+  ::kill(pid, SIGTERM);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  child.pid = -1;
+  const auto drain_time = std::chrono::steady_clock::now() - drain_start;
+  ASSERT_TRUE(listening) << "server_recovery_child never listened on " << path;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_GE(stats.at("requests"), 10'000u);
+  EXPECT_EQ(stats.at("loop_spin_us"), 0u);
+  EXPECT_LT(drain_time, std::chrono::milliseconds(500));
+}
+
 // ---- footprint -----------------------------------------------------
 
 TEST(ServerFootprint, DefaultSpecCountersStayLean) {
@@ -767,14 +1036,8 @@ TEST(ServerFootprint, DenseTableUnder96BytesPerCounter) {
   // its free but resident heap, which absorbs the table's growth unseen.
   // An empty state file keeps the server in memory, like ServerOptions{}.
   const std::string path = unique_sock_path();
-  const std::string bin = sibling_binary("server_recovery_child");
-  const pid_t pid = ::fork();
+  const pid_t pid = spawn_server(path, [] { return true; });
   ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::execl(bin.c_str(), bin.c_str(), path.c_str(), "",
-            static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
   constexpr std::size_t kCounters = 100'000;
   std::size_t before = 0, after = 0, opened = 0;
   std::optional<ms::ServerClient> c;
@@ -799,7 +1062,7 @@ TEST(ServerFootprint, DenseTableUnder96BytesPerCounter) {
   ::kill(pid, SIGTERM);  // the child drains and exits 0
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(listening) << bin << " never listened on " << path;
+  ASSERT_TRUE(listening) << "server_recovery_child never listened on " << path;
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   EXPECT_EQ(opened, kCounters);
   ASSERT_GT(before, 0u);
@@ -815,17 +1078,25 @@ TEST(ServerFootprint, DenseTableUnder96BytesPerCounter) {
 TEST(ServerMultiProcess, ForkedWritersOneBlockingReader) {
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 500;
-  ServerFixture fx;
+  const std::string path = unique_sock_path();
 
+  // The writers fork before the server starts: a fork while the loop
+  // thread runs copies any lock it holds at that instant (under ASan,
+  // an allocator lock), and the child deadlocks on it.  Each writer
+  // waits for `go` to close, which happens once the server listens.
+  int go[2];
+  ASSERT_EQ(::pipe(go), 0);
   std::vector<pid_t> pids;
   for (int w = 0; w < kWriters; ++w) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       // Child: separate process, own connection, acked increments.
-      int rc = 0;
+      ::close(go[1]);
+      char byte = 0;
+      int rc = ::read(go[0], &byte, 1) == 0 ? 0 : 1;
       try {
-        ms::ServerClient c = ms::ServerClient::connect_uds(fx.path());
+        ms::ServerClient c = ms::ServerClient::connect_uds(path);
         const auto opened = c.open("multiproc/total");
         for (int i = 0; i < kPerWriter; ++i) c.increment(opened.id, 1);
       } catch (...) {
@@ -835,9 +1106,15 @@ TEST(ServerMultiProcess, ForkedWritersOneBlockingReader) {
     }
     pids.push_back(pid);
   }
+  ::close(go[0]);
+  ms::ServerOptions opts;
+  opts.uds_path = path;
+  ms::CounterServer server(opts);
+  server.Start();
+  ::close(go[1]);
 
   // Parent: blocking wait for the full total, racing the children.
-  ms::ServerClient c = fx.connect();
+  ms::ServerClient c = ms::ServerClient::connect_uds(path);
   const auto opened = c.open("multiproc/total");
   EXPECT_EQ(c.check(opened.id, kWriters * kPerWriter),
             static_cast<std::uint64_t>(kWriters * kPerWriter));
