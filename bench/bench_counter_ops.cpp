@@ -45,7 +45,6 @@ BENCHMARK_TEMPLATE(BM_IncrementUncontended, HybridCounter);
 // a layer is directly readable against its base row.
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, Traced<Counter>);
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, Batching<HybridCounter>);
-BENCHMARK_TEMPLATE(BM_IncrementUncontended, Broadcasting<Counter>);
 // Striped value plane: with no armed waiter the whole Increment is one
 // fetch_add on a private stripe plus a watermark load.
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, ShardedCounter);
@@ -69,7 +68,6 @@ BENCHMARK_TEMPLATE(BM_CheckFastPath, SpinCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, HybridCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, Traced<Counter>);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, Batching<HybridCounter>);
-BENCHMARK_TEMPLATE(BM_CheckFastPath, Broadcasting<Counter>);
 // Striped check pays a sum over the stripes instead of one load.
 BENCHMARK_TEMPLATE(BM_CheckFastPath, ShardedCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, ShardedHybridCounter);

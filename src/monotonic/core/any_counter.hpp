@@ -24,22 +24,27 @@
 //               hot level never allocates in steady state; canonical
 //               form always prints the count ("pooled:64").  A spec of
 //               just "pooled[:N]" is shorthand for "pooled[:N]+hybrid".
-//   base opts:  pool=0|1, pool_size=N              (wait-node pooling)
-//               max_waiters=N, max_levels=N        (admission bounds;
-//               0 = unbounded), overload=throw|spin|block (what an
-//               over-cap waiter gets: CounterOverloadedError, the
-//               allocation-free degraded wait, or the admission gate),
+//   base opts:  pool=0|1                           (wait-node pooling)
+//               max_waiters=N                      (admission bound;
+//               0 = unbounded), overload=throw|block (what an over-cap
+//               waiter gets: CounterOverloadedError or the admission
+//               gate),
 //               waitplane=heap:S                   (S level shards of
 //               the wait index, 1..64 — see wait_index.hpp; bare
 //               list|heap = the default one shard)
 //   decorators: traced                             (Tracer events)
 //               batching  [batch=N, default 64]    (amortized Increment)
-//               broadcast [shards=N, default 4]    (sharded wait lists)
+//   removed, still parsed for old state files:
+//               overload=spin = overload=block; max_levels=L folds to
+//               max_waiters=min(N, L) (live levels never outnumber
+//               waiters); pool_size=N is ignored (the pool keeps a
+//               constant 64 freed nodes, or the pooled:N count);
+//               +broadcast[,shards=N] is dropped (every shard held
+//               the full value)
 //
 // Decorators apply left-to-right, innermost first: "hybrid+traced"
 // is Traced<hybrid>; "list+batching,batch=8+traced" is
-// Traced<Batching<list>>.  A broadcast decorator rebuilds everything to
-// its left once per shard.  spec() returns the canonical form, so
+// Traced<Batching<list>>.  spec() returns the canonical form, so
 // bench tables are self-describing and specs round-trip.  Malformed
 // specs — unknown kinds/decorators, a duplicated decorator, options on
 // the wrong component — throw std::invalid_argument naming the bad
@@ -167,7 +172,7 @@ std::unique_ptr<AnyCounter> make_counter(
 std::string_view counter_spec_help();
 
 /// Owning CounterLike view over a type-erased counter, so the generic
-/// decorators (Traced<C>, Batching<C>, Broadcasting<C>) and anything
+/// decorators (Traced<C>, Batching<C>) and anything
 /// else templated on CounterLike can wrap a runtime-selected stack.
 class AnyHandle {
  public:

@@ -7,9 +7,6 @@
 //
 //   Traced<C>        — emits Tracer events per operation
 //   Batching<C>      — §5.3 blocked-writer amortization of Increment
-//   Broadcasting<C>  — S-shard replication: Increment fans out to every
-//                      shard, Check reads a thread-local shard, spreading
-//                      waiter contention across S locks
 //
 // CounterDecoratorBase owns the wrapped counter and forwards the full
 // BasicCounter surface (Check/CheckFor/CheckUntil/OnReach/Reset/
@@ -19,18 +16,14 @@
 // lacks, say, OnReach still compiles as long as nothing calls it.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <stop_token>
 #include <string_view>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "monotonic/core/counter.hpp"
 #include "monotonic/core/counter_concept.hpp"
@@ -359,214 +352,6 @@ class Batching : public CounterDecoratorBase<C> {
  private:
   const counter_value_t batch_;
   std::atomic<counter_value_t> pending_{0};
-};
-
-/// S-shard replicated counter: Increment fans out to every shard (in
-/// shard order), Check and the timed variants go to a shard picked by
-/// the calling thread's id.  Every shard carries the full value, so any
-/// shard answers any Check correctly; what sharding buys is S
-/// independent locks/wait-lists, spreading waiter contention (the E6
-/// many-waiters regime) at the cost of S-fold Increment work — the
-/// classic read-mostly broadcast trade.
-template <CounterLike C = Counter>
-class Broadcasting {
- public:
-  using Inner = C;
-  static constexpr std::size_t kDefaultShards = 4;
-  static constexpr counter_value_t kMaxValue = detail::counter_max_value<C>();
-
-  explicit Broadcasting(std::size_t shards = kDefaultShards) {
-    MC_REQUIRE(shards >= 1, "Broadcasting requires at least one shard");
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-      shards_.push_back(std::make_unique<C>());
-    }
-  }
-  /// `make(i)` builds shard i — how the spec factory threads a full
-  /// inner spec ("broadcast,shards=2+hybrid") through to each shard.
-  template <typename Factory>
-    requires requires(Factory f, std::size_t i) {
-      { f(i) } -> std::convertible_to<std::unique_ptr<C>>;
-    }
-  Broadcasting(std::size_t shards, Factory&& make) {
-    MC_REQUIRE(shards >= 1, "Broadcasting requires at least one shard");
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) shards_.push_back(make(i));
-  }
-
-  Broadcasting(const Broadcasting&) = delete;
-  Broadcasting& operator=(const Broadcasting&) = delete;
-
-  void Increment(counter_value_t amount = 1) {
-    for (auto& shard : shards_) shard->Increment(amount);
-  }
-
-  void Check(counter_value_t level) { local_shard().Check(level); }
-
-  bool Check(counter_value_t level, std::stop_token stop) {
-    return local_shard().Check(level, std::move(stop));
-  }
-
-  // Predicate waits route to the thread's shard like level waits —
-  // every shard carries the full value, so any shard reduces the
-  // predicate to the same threshold.
-  template <typename Pred>
-    requires(!std::convertible_to<Pred, counter_value_t> &&
-             std::predicate<Pred&, counter_value_t>)
-  void Check(Pred pred) {
-    local_shard().Check(std::move(pred));
-  }
-  template <typename Pred>
-    requires(!std::convertible_to<Pred, counter_value_t> &&
-             std::predicate<Pred&, counter_value_t>)
-  bool Check(Pred pred, std::stop_token stop) {
-    return local_shard().Check(std::move(pred), std::move(stop));
-  }
-
-  template <typename Rep, typename Period>
-  bool CheckFor(counter_value_t level,
-                std::chrono::duration<Rep, Period> timeout) {
-    return local_shard().CheckFor(level, timeout);
-  }
-
-  template <typename Clock, typename Duration>
-  bool CheckUntil(counter_value_t level,
-                  std::chrono::time_point<Clock, Duration> deadline) {
-    return local_shard().CheckUntil(level, deadline);
-  }
-
-  /// Callbacks register on shard 0 (every shard sees every increment,
-  /// so shard 0's trigger times equal any other's).
-  void OnReach(counter_value_t level, std::function<void()> fn,
-               std::function<void(std::exception_ptr)> on_error = {}) {
-    shards_.front()->OnReach(level, std::move(fn), std::move(on_error));
-  }
-
-  /// Poison fans out to every shard, in shard order, so waiters parked
-  /// on any shard are woken.  A Check racing the fan-out on a not-yet-
-  /// poisoned shard simply parks and is woken when the wave reaches it.
-  void Poison(std::exception_ptr cause) {
-    for (auto& shard : shards_) shard->Poison(cause);
-  }
-
-  void Poison(std::string_view reason) {
-    for (auto& shard : shards_) shard->Poison(reason);
-  }
-
-  /// Shard 0 is poisoned first, so it answers for the ensemble.
-  bool poisoned() const { return shards_.front()->poisoned(); }
-
-  void Reset() {
-    for (auto& shard : shards_) shard->Reset();
-  }
-
-  /// Merged snapshot: the (replicated) value from shard 0, wait levels
-  /// summed across shards, callback levels from shard 0.
-  CounterDebugSnapshot debug_snapshot() const {
-    CounterDebugSnapshot merged = shards_.front()->debug_snapshot();
-    for (std::size_t i = 1; i < shards_.size(); ++i) {
-      merge_wait_levels(merged.wait_levels,
-                        shards_[i]->debug_snapshot().wait_levels);
-    }
-    return merged;
-  }
-
-  counter_value_t debug_value() const {
-    return shards_.front()->debug_value();
-  }
-
-  /// Any shard's bound is a bound for the ensemble (replicated value);
-  /// shard 0 is the one callbacks register on.
-  counter_value_t value_lower_bound() const {
-    return shards_.front()->value_lower_bound();
-  }
-
-  /// Summed across shards, with increments normalized back to logical
-  /// operations (each logical Increment touched every shard).  The
-  /// max_live_* high-water marks are summed too — an upper bound, since
-  /// the shards need not have peaked simultaneously.
-  CounterStatsSnapshot stats() const {
-    CounterStatsSnapshot sum{};
-    for (auto& shard : shards_) {
-      const CounterStatsSnapshot s = shard->stats();
-      sum.increments += s.increments;
-      sum.checks += s.checks;
-      sum.fast_checks += s.fast_checks;
-      sum.suspensions += s.suspensions;
-      sum.wakeups += s.wakeups;
-      sum.notifies += s.notifies;
-      sum.nodes_allocated += s.nodes_allocated;
-      sum.nodes_pooled += s.nodes_pooled;
-      sum.live_nodes += s.live_nodes;
-      sum.max_live_nodes += s.max_live_nodes;
-      sum.max_live_waiters += s.max_live_waiters;
-      sum.spurious_wakeups += s.spurious_wakeups;
-      sum.poisons += s.poisons;
-      sum.aborted_wakeups += s.aborted_wakeups;
-      sum.cancelled_checks += s.cancelled_checks;
-      sum.dropped_increments += s.dropped_increments;
-      sum.stall_reports += s.stall_reports;
-      sum.collapses += s.collapses;
-      sum.fast_path_increments += s.fast_path_increments;
-      // Stripe count is configuration, not a tally: report the widest
-      // shard (they normally agree).
-      sum.stripe_count = std::max(sum.stripe_count, s.stripe_count);
-    }
-    sum.increments /= shards_.size();
-    // Replicated per shard, like increments: one logical Poison (or
-    // dropped Increment) touched every shard, and each logical
-    // Increment took one fast-or-slow path per shard.
-    sum.poisons /= shards_.size();
-    sum.dropped_increments /= shards_.size();
-    sum.fast_path_increments /= shards_.size();
-    return sum;
-  }
-  void stats_reset() {
-    for (auto& shard : shards_) shard->stats_reset();
-  }
-
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  C& shard(std::size_t i) { return *shards_[i]; }
-
-  /// Widest value plane across shards (1 when the shards are unsharded).
-  std::size_t stripe_count() const noexcept {
-    std::size_t widest = 1;
-    for (const auto& shard : shards_) {
-      widest = std::max(widest, detail::stripe_count_of(*shard));
-    }
-    return widest;
-  }
-
- private:
-  C& local_shard() {
-    const std::size_t i =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-        shards_.size();
-    return *shards_[i];
-  }
-
-  static void merge_wait_levels(std::vector<DebugWaitLevel>& into,
-                                const std::vector<DebugWaitLevel>& from) {
-    std::vector<DebugWaitLevel> merged;
-    merged.reserve(into.size() + from.size());
-    std::size_t a = 0, b = 0;
-    while (a < into.size() || b < from.size()) {
-      if (b >= from.size() ||
-          (a < into.size() && into[a].level < from[b].level)) {
-        merged.push_back(into[a++]);
-      } else if (a >= into.size() || from[b].level < into[a].level) {
-        merged.push_back(from[b++]);
-      } else {
-        merged.push_back(
-            DebugWaitLevel{into[a].level, into[a].waiters + from[b].waiters});
-        ++a;
-        ++b;
-      }
-    }
-    into = std::move(merged);
-  }
-
-  std::vector<std::unique_ptr<C>> shards_;
 };
 
 }  // namespace monotonic

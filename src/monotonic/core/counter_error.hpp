@@ -24,8 +24,8 @@
 //     mutex is released, and the counter remains fully usable —
 //     subsequent Increment/Check succeed.
 //   * CounterOverloadedError — bounded admission
-//     (WaitListOptions::max_waiters / max_levels with
-//     OverloadPolicy::kThrow) turned a waiter away.  Also recoverable:
+//     (WaitListOptions::max_waiters with OverloadPolicy::kThrow)
+//     turned a waiter away.  Also recoverable:
 //     capacity frees as parked waiters are released.
 //
 // Every engine exception derives from CounterError (itself a
@@ -179,11 +179,11 @@ class CounterShutdownError : public CounterError {
 };
 
 /// Thrown under OverloadPolicy::kThrow when bounded admission
-/// (WaitListOptions::max_waiters / max_levels) turns a waiter away:
-/// the wait list is full and this thread was not allowed to park.
-/// Recoverable — capacity frees as parked waiters are released or
-/// time out.  The other overload policies degrade (kSpinFallback) or
-/// backpressure (kBlockIncrementers) instead of throwing.
+/// (WaitListOptions::max_waiters) turns a waiter away: the wait list
+/// is full and this thread was not allowed to park.  Recoverable —
+/// capacity frees as parked waiters are released or time out.  The
+/// other overload policy (kBlockIncrementers) backpressures instead
+/// of throwing.
 class CounterOverloadedError : public CounterError {
  public:
   using CounterError::CounterError;

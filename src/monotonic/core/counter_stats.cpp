@@ -27,7 +27,6 @@ CounterStatsSnapshot CounterStats::snapshot() const noexcept {
   s.collapses = collapses_.load(std::memory_order_relaxed);
   s.timed_out_checks = timed_out_checks_.load(std::memory_order_relaxed);
   s.overload_rejections = overload_rejections_.load(std::memory_order_relaxed);
-  s.degraded_waits = degraded_waits_.load(std::memory_order_relaxed);
   s.pool_hits = pool_hits_.load(std::memory_order_relaxed);
   s.pool_misses = pool_misses_.load(std::memory_order_relaxed);
   s.bulk_wakes = bulk_wakes_.load(std::memory_order_relaxed);
@@ -66,7 +65,6 @@ void CounterStats::reset() noexcept {
   collapses_.store(0, std::memory_order_relaxed);
   timed_out_checks_.store(0, std::memory_order_relaxed);
   overload_rejections_.store(0, std::memory_order_relaxed);
-  degraded_waits_.store(0, std::memory_order_relaxed);
   pool_hits_.store(0, std::memory_order_relaxed);
   pool_misses_.store(0, std::memory_order_relaxed);
   bulk_wakes_.store(0, std::memory_order_relaxed);

@@ -42,7 +42,6 @@ struct CounterStatsSnapshot {
   std::uint64_t collapses = 0;        ///< striped-plane sums under the mutex
   std::uint64_t timed_out_checks = 0; ///< CheckFor/CheckUntil deadline returns
   std::uint64_t overload_rejections = 0; ///< waiters turned away by admission
-  std::uint64_t degraded_waits = 0;   ///< waits demoted to the spin/poll path
   std::uint64_t pool_hits = 0;        ///< node allocations served by the pool
   std::uint64_t pool_misses = 0;      ///< node allocations that hit the heap
   std::uint64_t stripe_count = 1;     ///< value-plane stripes (1 = unsharded)
@@ -74,7 +73,6 @@ class CounterStats {
   void on_collapse() noexcept { bump(collapses_); }
   void on_timed_out_check() noexcept { bump(timed_out_checks_); }
   void on_overload_rejection() noexcept { bump(overload_rejections_); }
-  void on_degraded_wait() noexcept { bump(degraded_waits_); }
   void on_predicate_check() noexcept { bump(predicate_checks_); }
   void on_async_completion() noexcept { bump(async_completions_); }
 
@@ -199,7 +197,6 @@ class CounterStats {
   std::atomic<std::uint64_t> collapses_{0};
   std::atomic<std::uint64_t> timed_out_checks_{0};
   std::atomic<std::uint64_t> overload_rejections_{0};
-  std::atomic<std::uint64_t> degraded_waits_{0};
   std::atomic<std::uint64_t> pool_hits_{0};
   std::atomic<std::uint64_t> pool_misses_{0};
   std::atomic<std::uint64_t> stripe_count_{1};

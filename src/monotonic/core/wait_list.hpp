@@ -82,19 +82,14 @@ struct CounterStallReport {
 };
 
 /// What the engine does with a waiter that bounded admission
-/// (WaitListOptions::max_waiters / max_levels) turns away.  Uniform
-/// across all five policies and both value planes — admission is
+/// (WaitListOptions::max_waiters) turns away.  Uniform across all
+/// five policies and both value planes — admission is
 /// enforced by the engine at every park site, under the engine mutex,
 /// before the wait list is touched.
 enum class OverloadPolicy : std::uint8_t {
   /// Reject: the Check throws CounterOverloadedError.  Capacity frees
   /// as parked waiters are released, so retrying is legitimate.
   kThrow,
-  /// Degrade: the waiter is denied a wait node and falls back to a
-  /// bounded-backoff spin/poll loop on the value itself — no list
-  /// storage, no signal, but still poison-, deadline- and
-  /// cancellation-aware.  Counted in the degraded_waits stat.
-  kSpinFallback,
   /// Backpressure: the waiter parks at a capacity gate the engine
   /// already owns (a condvar under the engine mutex) until a slot
   /// frees.  Because gate waiters hold and re-take the engine mutex,
@@ -103,64 +98,25 @@ enum class OverloadPolicy : std::uint8_t {
   kBlockIncrementers,
 };
 
-namespace detail {
-/// kSpinFallback relock-poll pacing (degraded_wait_locked in
-/// basic_counter.hpp).  The first kDegradedSpinProbes probes ride the
-/// environment spinner so a waiter denied admission during a short
-/// burst still wakes in microseconds; the count stays BELOW the
-/// spinner's yield threshold (SpinBackoff pauses for its first ten
-/// iterations) because a 10k-waiter storm each burning a yield phase
-/// floods the run queue and starves everything else — E12 measured
-/// the storm's thread-spawn loop alone at ~35 s with yields in the
-/// probe budget.  Past the probes, each poll sleeps on the engine's
-/// capacity gate with the nap doubling from kDegradedNapFloor to
-/// kDegradedNapCap: N degraded waiters then demand O(N / cap) mutex
-/// acquisitions per second instead of O(N / 100µs), which is the
-/// difference between the storm degrading and it monopolizing every
-/// core re-locking the engine mutex (E12 measured 11.8 ms/op before
-/// the cap, ~170x the kThrow policy's cost).
-///
-/// The cap can sit this high because naps are only the FALLBACK wake
-/// path: napping pollers register a level floor with the engine and
-/// the increment/poison slow paths broadcast the gate the moment the
-/// value crosses it (notify_degraded_locked in basic_counter.hpp), so
-/// a 250ms cap costs microseconds of exit latency, not 250ms.  At
-/// 20ms, E12's 10k-waiter storm still demanded ~500k relock wakeups
-/// per second during its spawn ramp — enough to saturate a core
-/// before the first increment arrived.
-inline constexpr std::uint32_t kDegradedSpinProbes = 4;
-inline constexpr std::chrono::microseconds kDegradedNapFloor{100};
-inline constexpr std::chrono::milliseconds kDegradedNapCap{250};
-}  // namespace detail
-
 /// Node-pooling and failure-diagnostic knobs, common to every policy.
 struct WaitListOptions {
   /// Reuse freed wait nodes through an internal free list instead of
   /// returning them to the allocator.  On by default; the E5 bench
   /// ablates it.
   bool pool_nodes = true;
-  /// Maximum nodes retained in the pool (0 = unbounded).  Clamped up
-  /// to `preallocated_nodes` so preallocated capacity is never
-  /// returned to the allocator by recycle().
-  std::size_t max_pool_size = 64;
   /// Wait nodes constructed up front into the free list, so Check on a
   /// hot level never allocates in steady state (allocation-free once
   /// the working set of distinct levels fits the pool).  Zero by
   /// default — preallocation is opt-in, and it raises the pool's
-  /// retention floor (recycle keeps max(max_pool_size,
-  /// preallocated_nodes) nodes), which would perturb code tuned around
-  /// max_pool_size alone.  The spec factory exposes this as
+  /// retention (recycle keeps max(WaitList::kPoolRetention,
+  /// preallocated_nodes) nodes).  The spec factory exposes this as
   /// "pooled[:N]+".
   std::size_t preallocated_nodes = 0;
   /// Bounded admission: maximum threads parked in the wait list at
   /// once (0 = unlimited).  Excess waiters are handled per
   /// `overload_policy`.
   std::size_t max_waiters = 0;
-  /// Bounded admission: maximum distinct live wait levels (linked
-  /// nodes) at once (0 = unlimited).  Joining an existing level never
-  /// counts against this; only creating a new node does.
-  std::size_t max_levels = 0;
-  /// What to do with a waiter the bounds above turn away.
+  /// What to do with a waiter the bound above turns away.
   OverloadPolicy overload_policy = OverloadPolicy::kThrow;
   /// Stall watchdog: when > 0, an untimed Check parked longer than
   /// this emits a CounterStallReport through `on_stall` (and again
@@ -199,6 +155,10 @@ struct WaitListOptions {
 template <typename Signal, typename Env = RealEngineEnv>
 class WaitList {
  public:
+  /// Freed nodes the pool keeps (more when preallocated_nodes is
+  /// larger); the rest go back to the allocator.
+  static constexpr std::size_t kPoolRetention = 64;
+
   // One node per distinct level with waiters (§7 / Figure 2):
   // {level, count, signal}.  Cache-line aligned: a node's signal is
   // hammered by its own waiters (futex word, spin flag, condvar state)
@@ -286,28 +246,16 @@ class WaitList {
   }
 
   /// Bounded-admission probe (engine mutex held): would admitting one
-  /// more waiter at `level` exceed max_waiters, or require a new node
-  /// beyond max_levels?  Joining an existing level never violates the
-  /// level bound, so the level check asks the index only when the bound
-  /// is live.
-  bool admission_would_exceed(counter_value_t level) const {
-    if (options_.max_waiters != 0 && waiter_count_ >= options_.max_waiters) {
-      return true;
-    }
-    if (options_.max_levels != 0 &&
-        live_level_count_ >= options_.max_levels &&
-        index_.find(level) == nullptr) {
-      return true;
-    }
-    return false;
+  /// more waiter exceed max_waiters?  Live levels never outnumber
+  /// parked waiters, so this bound caps them too.
+  bool admission_would_exceed() const {
+    return options_.max_waiters != 0 && waiter_count_ >= options_.max_waiters;
   }
 
-  /// True when either admission bound is configured — whether the
-  /// engine needs to run admission control (and wake its capacity
-  /// gate) at all.
-  bool bounded() const noexcept {
-    return options_.max_waiters != 0 || options_.max_levels != 0;
-  }
+  /// True when the admission bound is configured — whether the engine
+  /// needs to run admission control (and wake its capacity gate) at
+  /// all.
+  bool bounded() const noexcept { return options_.max_waiters != 0; }
 
   /// Registered waiters (threads) currently in the list.
   std::size_t waiter_count() const noexcept { return waiter_count_; }
@@ -418,9 +366,8 @@ class WaitList {
     // The retention cap never drops below the preallocated count, so
     // capacity paid for up front is never handed back to the heap.
     const std::size_t cap =
-        std::max(options_.max_pool_size, options_.preallocated_nodes);
-    if (options_.pool_nodes &&
-        (options_.max_pool_size == 0 || pool_size_ < cap)) {
+        std::max(kPoolRetention, options_.preallocated_nodes);
+    if (options_.pool_nodes && pool_size_ < cap) {
       node->next = free_list_;
       free_list_ = node;
       ++pool_size_;

@@ -4,7 +4,7 @@
 // The engine's failure model (poison, cancellation, stall watchdog —
 // see counter_error.hpp) is policy-independent machinery, so like the
 // conformance suite it is typed over all five BasicCounter
-// instantiations plus Traced/Batching/Broadcasting compositions: a
+// instantiations plus Traced/Batching compositions: a
 // policy or decorator cannot silently strand a waiter.  The scenarios
 // matching the §6 caveat: poison-then-check, poison-while-parked,
 // poison racing increments, cooperative cancellation, zero-deadline
@@ -69,7 +69,6 @@ static_assert(FailureAwareCounter<SpinCounter>);
 static_assert(FailureAwareCounter<HybridCounter>);
 static_assert(FailureAwareCounter<Traced<Counter>>);
 static_assert(FailureAwareCounter<Batching<HybridCounter>>);
-static_assert(FailureAwareCounter<Broadcasting<Counter>>);
 static_assert(FailureAwareCounter<ShardedCounter>);
 static_assert(FailureAwareCounter<ShardedHybridCounter>);
 static_assert(FailureAwareCounter<Traced<ShardedHybridCounter>>);
@@ -105,7 +104,7 @@ class FailureModel : public ::testing::Test {
 using AllCounterTypes =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
                      HybridCounter, Traced<Counter>, Batching<HybridCounter>,
-                     Broadcasting<Counter>, ShardedCounter,
+                     ShardedCounter,
                      ShardedHybridCounter, Traced<ShardedHybridCounter>,
                      FaultListCounter, FaultSingleCvCounter,
                      FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
@@ -124,8 +123,6 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, Traced<Counter>>) return "list_traced";
     if constexpr (std::is_same_v<T, Batching<HybridCounter>>)
       return "hybrid_batching";
-    if constexpr (std::is_same_v<T, Broadcasting<Counter>>)
-      return "list_broadcast";
     if constexpr (std::is_same_v<T, ShardedCounter>) return "sharded_list";
     if constexpr (std::is_same_v<T, ShardedHybridCounter>)
       return "sharded_hybrid";
@@ -244,14 +241,8 @@ TYPED_TEST(FailureModel, PoisonRacingIncrementsLeavesConsistentState) {
   const counter_value_t frozen = this->counter_.debug_value();
   EXPECT_LE(frozen,
             static_cast<counter_value_t>(kIncrementers) * kPerThread);
-  // Broadcasting's shards can freeze at slightly different values when
-  // the poison fan-out races increments (each shard's freeze is
-  // individually consistent); the single-freeze assertions below are
-  // for the single-wait-list types.
-  if constexpr (!std::is_same_v<TypeParam, Broadcasting<Counter>>) {
-    this->counter_.Check(frozen);  // at the freeze: must not block or throw
-    EXPECT_THROW(this->counter_.Check(frozen + 1), CounterPoisonedError);
-  }
+  this->counter_.Check(frozen);  // at the freeze: must not block or throw
+  EXPECT_THROW(this->counter_.Check(frozen + 1), CounterPoisonedError);
   // Late increments are drops: the freeze holds.
   this->counter_.Increment(100);
   EXPECT_EQ(this->counter_.debug_value(), frozen);
@@ -597,7 +588,7 @@ TEST(AnyCounterFailure, ErasedSurfaceCarriesTheFailureModel) {
 
 TEST(AnyCounterFailure, DecoratedSpecStacksForwardPoison) {
   for (const char* spec :
-       {"hybrid+traced", "list+batching,batch=8", "futex+broadcast,shards=2",
+       {"hybrid+traced", "list+batching,batch=8", "futex+traced",
         "spin+batching,batch=4+traced"}) {
     auto counter = make_counter(std::string_view(spec));
     counter->Increment(1);

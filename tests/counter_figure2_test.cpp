@@ -59,8 +59,7 @@ class Figure2 : public ::testing::Test {
 
 using Figure2Types =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
-                     HybridCounter, Traced<Counter>, Batching<HybridCounter>,
-                     Broadcasting<Counter>>;
+                     HybridCounter, Traced<Counter>, Batching<HybridCounter>>;
 
 struct Figure2TypeNames {
   template <typename T>
@@ -73,8 +72,6 @@ struct Figure2TypeNames {
     if constexpr (std::is_same_v<T, Traced<Counter>>) return "list_traced";
     if constexpr (std::is_same_v<T, Batching<HybridCounter>>)
       return "hybrid_batching";
-    if constexpr (std::is_same_v<T, Broadcasting<Counter>>)
-      return "list_broadcast";
   }
 };
 
@@ -171,8 +168,8 @@ TYPED_TEST(Figure2, WakeupAccountingMatchesScenario) {
 
 // ---------------------------------------------------------------------
 // Node and notify accounting that depends on the single-list layout
-// (Broadcasting spreads waiters over shards; SingleCv broadcasts per
-// Increment), asserted on the §7 reference only.
+// (SingleCv broadcasts per Increment), asserted on the §7 reference
+// only.
 
 TEST(Figure2Accounting, NodesAndNotifiesOnReferenceCounter) {
   Counter c;

@@ -61,8 +61,6 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"list,pool=0", "list-nopool"},
         SpecCase{"list-nopool,pool=1", "list"},
         SpecCase{"list,pool=1", "list"},
-        SpecCase{"list,pool_size=8", "list,pool_size=8"},
-        SpecCase{"list,pool_size=64", "list"},  // 64 is the default
         // Whitespace is insignificant.
         SpecCase{" hybrid , pool_size = 64 ", "hybrid"},
         // Decorators, defaults elided.
@@ -70,14 +68,26 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"hybrid+batching", "hybrid+batching"},
         SpecCase{"hybrid+batching,batch=64", "hybrid+batching"},
         SpecCase{"hybrid+batching,batch=16", "hybrid+batching,batch=16"},
-        SpecCase{"list+broadcast", "list+broadcast"},
-        SpecCase{"list+broadcast,shards=4", "list+broadcast"},
-        SpecCase{"list+broadcast,shards=2", "list+broadcast,shards=2"},
         // Stacked layers keep their order.
         SpecCase{"futex+batching,batch=8+traced",
                  "futex+batching,batch=8+traced"},
+        // Removed knobs still parse (server state files hold raw
+        // specs) and fold away: overload=spin waits like block,
+        // max_levels=L becomes max_waiters=min(W, L), pool_size=N is
+        // ignored and a broadcast layer is dropped.
+        SpecCase{"hybrid,overload=spin", "hybrid,overload=block"},
+        SpecCase{"list,max_levels=4", "list,max_waiters=4"},
+        SpecCase{"list,max_waiters=8,max_levels=4", "list,max_waiters=4"},
+        SpecCase{"list,max_levels=16,max_waiters=8", "list,max_waiters=8"},
+        SpecCase{"list,max_levels=0", "list"},
+        SpecCase{"list,pool_size=8", "list"},
+        SpecCase{"hybrid,pool_size=0", "hybrid"},
+        SpecCase{"list+broadcast", "list"},
+        SpecCase{"list+broadcast,shards=2", "list"},
         SpecCase{"list,pool=0+traced+broadcast,shards=2",
-                 "list-nopool+traced+broadcast,shards=2"},
+                 "list-nopool+traced"},
+        SpecCase{"hybrid+broadcast+batching,batch=8",
+                 "hybrid+batching,batch=8"},
         // Sharded value plane: bare "sharded" means sharded+hybrid; an
         // explicit stripe count always prints, the auto count never
         // does (canonical specs are machine-independent).
@@ -356,13 +366,14 @@ TEST(SpecBehavior, BatchingDefersUntilFlush) {
   EXPECT_EQ(c->debug_value(), 100u);
 }
 
-// Broadcast replicates increments into every shard; the merged snapshot
-// and normalized stats must still look like ONE logical counter.
-TEST(SpecBehavior, BroadcastActsAsOneLogicalCounter) {
+// A recorded broadcast layer folds to the counter beneath it, which
+// held the full value all along.
+TEST(SpecBehavior, BroadcastSpecFoldsToItsInnerCounter) {
   auto c = make_counter("list+broadcast,shards=3");
+  EXPECT_EQ(c->spec(), "list");
   c->Increment(7);
   EXPECT_EQ(c->debug_value(), 7u);
-  EXPECT_EQ(c->stats().increments, 1u) << "per-shard fanout is normalized";
+  EXPECT_EQ(c->stats().increments, 1u);
   c->Check(7);
   c->Reset();
   EXPECT_EQ(c->debug_value(), 0u);

@@ -300,7 +300,7 @@ TEST_P(ChaosRound, RandomPoisonAndCancelLeaveNoThreadParked) {
 INSTANTIATE_TEST_SUITE_P(
     Chaos, ChaosRound,
     ::testing::Values("list", "single-cv", "futex", "spin", "hybrid",
-                      "hybrid+batching,batch=4", "list+broadcast,shards=2",
+                      "hybrid+batching,batch=4",
                       "hybrid+traced", "sharded", "sharded:4+hybrid+traced",
                       "sharded:2+futex"),
     chaos_name);

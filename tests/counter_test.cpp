@@ -4,7 +4,7 @@
 // async and introspection extensions every implementation gained from
 // the policy-based engine — against all five BasicCounter
 // instantiations AND decorated compositions (Traced<Counter>,
-// Batching<HybridCounter>, Broadcasting<Counter>), so a decorator
+// Batching<HybridCounter>), so a decorator
 // cannot silently weaken counter semantics.  Counter-only tests cover
 // the §7 structure (nodes, pooling, snapshots) and the AnyCounter
 // factory surface.
@@ -69,10 +69,8 @@ static_assert(IntrospectableCounter<SpinCounter>);
 static_assert(IntrospectableCounter<HybridCounter>);
 static_assert(TimedCounterLike<Traced<Counter>>);
 static_assert(TimedCounterLike<Batching<HybridCounter>>);
-static_assert(TimedCounterLike<Broadcasting<Counter>>);
 static_assert(IntrospectableCounter<Traced<Counter>>);
 static_assert(IntrospectableCounter<Batching<HybridCounter>>);
-static_assert(IntrospectableCounter<Broadcasting<Counter>>);
 static_assert(TimedCounterLike<ShardedCounter>);
 static_assert(TimedCounterLike<ShardedHybridCounter>);
 static_assert(IntrospectableCounter<ShardedCounter>);
@@ -86,7 +84,6 @@ static_assert(PredicateCounterLike<HybridCounter>);
 static_assert(PredicateCounterLike<ShardedHybridCounter>);
 static_assert(PredicateCounterLike<Traced<Counter>>);
 static_assert(PredicateCounterLike<Batching<HybridCounter>>);
-static_assert(PredicateCounterLike<Broadcasting<Counter>>);
 static_assert(PredicateCounterLike<AnyHandle>);
 
 // Wrappers that default-construct over a sharded wait index
@@ -128,7 +125,7 @@ class CounterSemantics : public ::testing::Test {
 using AllCounterTypes =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
                      HybridCounter, Traced<Counter>, Batching<HybridCounter>,
-                     Broadcasting<Counter>, ShardedCounter,
+                     ShardedCounter,
                      ShardedHybridCounter, Traced<ShardedHybridCounter>,
                      FaultListCounter, FaultSingleCvCounter,
                      FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
@@ -147,8 +144,6 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, Traced<Counter>>) return "list_traced";
     if constexpr (std::is_same_v<T, Batching<HybridCounter>>)
       return "hybrid_batching";
-    if constexpr (std::is_same_v<T, Broadcasting<Counter>>)
-      return "list_broadcast";
     if constexpr (std::is_same_v<T, ShardedCounter>) return "sharded_list";
     if constexpr (std::is_same_v<T, ShardedHybridCounter>)
       return "sharded_hybrid";

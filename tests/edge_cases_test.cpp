@@ -61,37 +61,6 @@ TEST(CounterEdge, IncrementByMaxFromZero) {
   EXPECT_EQ(c.debug_snapshot().value, ~counter_value_t{0});
 }
 
-TEST(CounterEdge, PoolBoundedByOption) {
-  Counter::Options opts;
-  opts.max_pool_size = 2;
-  Counter c(opts);
-  // Park waiters on 4 distinct levels, then release all at once: four
-  // nodes are freed but at most two may be retained by the pool.
-  {
-    std::vector<std::jthread> waiters;
-    for (counter_value_t level : {1u, 2u, 3u, 4u}) {
-      waiters.emplace_back([&c, level] { c.Check(level); });
-    }
-    while (c.debug_snapshot().wait_levels.size() < 4) {
-      std::this_thread::yield();
-    }
-    c.Increment(4);
-  }
-  // Re-park on 4 levels again: at most 2 allocations can come from the
-  // pool.
-  {
-    std::vector<std::jthread> waiters;
-    for (counter_value_t level : {5u, 6u, 7u, 8u}) {
-      waiters.emplace_back([&c, level] { c.Check(level); });
-    }
-    while (c.debug_snapshot().wait_levels.size() < 4) {
-      std::this_thread::yield();
-    }
-    c.Increment(4);
-  }
-  EXPECT_LE(c.stats().nodes_pooled, 2u);
-}
-
 TEST(CounterEdge, FutexCounterSurvivesWakeupStorm) {
   FutexCounter c;
   std::atomic<int> released{0};

@@ -237,16 +237,32 @@ TEST(WaitIndex, TimedOutWaiterUnlinksFromTheMiddle) {
 TEST(WaitIndex, AdmissionBoundsUseTheShardHash) {
   CounterStats stats;
   WaitListOptions options = heap_options(2);
-  options.max_levels = 2;
+  options.max_waiters = 2;
   List heap(options, stats);
   Node* a = heap.acquire(1);
   Node* b = heap.acquire(2);
-  EXPECT_TRUE(heap.admission_would_exceed(3));   // would link a third level
-  EXPECT_FALSE(heap.admission_would_exceed(2));  // joining is always fine
+  // Levels 1 and 2 hash to different shards; the bound counts both.
+  EXPECT_TRUE(heap.admission_would_exceed());
   heap.leave(a);
-  EXPECT_FALSE(heap.admission_would_exceed(3));
+  EXPECT_FALSE(heap.admission_would_exceed());
   heap.leave(b);
   EXPECT_TRUE(heap.empty());
+}
+
+TEST(WaitIndex, PoolRetainsAtMostTheRetentionCap) {
+  // Free more nodes than the pool keeps; acquiring as many fresh levels
+  // again can reuse only the retained ones.
+  CounterStats stats;
+  List list(WaitListOptions{}, stats);
+  constexpr std::size_t kLevels = List::kPoolRetention + 8;
+  for (std::size_t round = 0; round < 2; ++round) {
+    std::vector<Node*> nodes;
+    for (std::size_t i = 1; i <= kLevels; ++i) {
+      nodes.push_back(list.acquire(round * kLevels + i));
+    }
+    for (Node* node : nodes) list.leave(node);
+  }
+  EXPECT_EQ(stats.snapshot().nodes_pooled, List::kPoolRetention);
 }
 
 TEST(WaitIndex, SnapshotIsAscending) {
