@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -310,13 +311,9 @@ struct BaseConfig {
   CounterKind kind;
   bool sharded = false;
   /// Workers of the completion pool; 0 = inline delivery (the default,
-  /// never printed).  The executor itself lives in options — this is
-  /// the number canonical_base() re-prints.
+  /// never printed).  Parsing starts no thread: make_counter(spec)
+  /// builds the pool into options once the whole spec has parsed.
   std::size_t executor_pool_threads = 0;
-  /// True when the spec named an executor explicitly (even
-  /// "executor=inline") — an ambient default executor passed to
-  /// make_counter(spec, executor) must not override it.
-  bool executor_explicit = false;
   WaitListOptions options;
 };
 
@@ -376,10 +373,8 @@ BaseConfig parse_base(const SpecPart& part, const ShardPrefix& shard,
       }
     } else if (key == "executor") {
       // executor=inline | executor=pool[:N] — the completion plane.
-      cfg.executor_explicit = true;
       if (value == "inline") {
         cfg.executor_pool_threads = 0;
-        cfg.options.completion_executor = nullptr;
       } else if (value == "pool") {
         cfg.executor_pool_threads = 1;
       } else if (value.rfind("pool:", 0) == 0) {
@@ -401,10 +396,6 @@ BaseConfig parse_base(const SpecPart& part, const ShardPrefix& shard,
   if (max_levels != 0) {
     const std::size_t w = cfg.options.max_waiters;
     cfg.options.max_waiters = w == 0 ? max_levels : std::min(w, max_levels);
-  }
-  if (cfg.executor_pool_threads != 0) {
-    cfg.options.completion_executor =
-        std::make_shared<ThreadPoolExecutor>(cfg.executor_pool_threads);
   }
   // "list,pool=0" and "list-nopool" are the same configuration; fold to
   // the named kind so canonical specs are unique.
@@ -698,6 +689,33 @@ std::unique_ptr<AnyCounter> build_layers(const std::vector<SpecPart>& parts,
   spec_error("unknown decorator '" + part.name + "'");
 }
 
+/// Builds a spec that is not "shared:".  With a `host` executor, it
+/// runs every completion and the spec's executor token is ignored: no
+/// pool starts and the canonical spec names none.  Without one, the
+/// spec's pool (if any) starts once the whole spec has parsed.
+std::unique_ptr<AnyCounter> build_spec(
+    std::string_view spec,
+    std::optional<std::shared_ptr<CompletionExecutor>> host) {
+  std::vector<SpecPart> parts = parse_spec(spec);
+  const ShardPrefix shard = take_shard_prefix(parts);
+  const PoolPrefix pool = take_pool_prefix(parts);
+  validate_decorators(parts);
+  // A broadcast layer (removed) is dropped: every shard held the full
+  // value, so the layer beneath answers every call the same way.
+  std::erase_if(parts, [&](const SpecPart& p) {
+    return &p != &parts.front() && p.name == "broadcast";
+  });
+  BaseConfig base = parse_base(parts.front(), shard, pool);
+  if (host) {
+    base.executor_pool_threads = 0;
+    base.options.completion_executor = std::move(*host);
+  } else if (base.executor_pool_threads != 0) {
+    base.options.completion_executor =
+        std::make_shared<ThreadPoolExecutor>(base.executor_pool_threads);
+  }
+  return build_layers(parts, base, parts.size() - 1);
+}
+
 }  // namespace
 
 std::unique_ptr<AnyCounter> make_counter(CounterKind kind) {
@@ -713,16 +731,8 @@ std::unique_ptr<AnyCounter> make_counter(CounterKind kind) {
 }
 
 std::unique_ptr<AnyCounter> make_counter(std::string_view spec) {
-  return make_counter(spec, nullptr);
-}
-
-std::unique_ptr<AnyCounter> make_counter(
-    std::string_view spec,
-    std::shared_ptr<CompletionExecutor> default_executor) {
   // "shared:" routes to its own parser before the '+'-split grammar:
   // the name itself contains '/' and the component is indivisible.
-  // Cross-process counters deliver completions from waiter slices, not
-  // an in-process executor, so the injection does not apply.
   if (spec.rfind("shared:", 0) == 0) {
 #if defined(_WIN32)
     throw std::invalid_argument(
@@ -731,20 +741,20 @@ std::unique_ptr<AnyCounter> make_counter(
     return make_shared_counter(spec);
 #endif
   }
-  std::vector<SpecPart> parts = parse_spec(spec);
-  const ShardPrefix shard = take_shard_prefix(parts);
-  const PoolPrefix pool = take_pool_prefix(parts);
-  validate_decorators(parts);
-  // A broadcast layer (removed) is dropped: every shard held the full
-  // value, so the layer beneath answers every call the same way.
-  std::erase_if(parts, [&](const SpecPart& p) {
-    return &p != &parts.front() && p.name == "broadcast";
-  });
-  BaseConfig base = parse_base(parts.front(), shard, pool);
-  if (!base.executor_explicit && default_executor != nullptr) {
-    base.options.completion_executor = std::move(default_executor);
+  return build_spec(spec, std::nullopt);
+}
+
+std::unique_ptr<AnyCounter> make_counter(
+    std::string_view spec, std::shared_ptr<CompletionExecutor> executor) {
+  // A shared: counter runs each OnReach on a watcher thread of its own
+  // (shared_counter.hpp), never on the host's executor.
+  if (spec.rfind("shared:", 0) == 0) {
+    throw std::invalid_argument(
+        "counter spec '" + std::string(spec) +
+        "': a shared: counter runs its completions on watcher threads, "
+        "not on the host's executor");
   }
-  return build_layers(parts, base, parts.size() - 1);
+  return build_spec(spec, std::move(executor));
 }
 
 }  // namespace monotonic

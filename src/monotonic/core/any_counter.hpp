@@ -152,21 +152,16 @@ std::unique_ptr<AnyCounter> make_counter(CounterKind kind);
 /// on malformed specs, unknown kinds/decorators/options.
 std::unique_ptr<AnyCounter> make_counter(std::string_view spec);
 
-/// Same, with an ambient completion executor: when the spec does not
-/// name an executor itself, the counter delivers its OnReach /
-/// predicate completions on `default_executor` instead of inline on
-/// the incrementing thread.  An explicit spec token always wins —
-/// "executor=pool:N" builds its own pool, "executor=inline" pins
-/// inline delivery — and the injected executor never appears in the
-/// canonical spec (it is ambient infrastructure, not configuration).
-/// This is how one executor drains many counters (the shard server
-/// opens millions of logical counters; a pool per counter would be a
-/// thread explosion).  "shared:" specs ignore the injection:
-/// cross-process counters deliver completions via their own waiter
-/// slices.
+/// Builds `spec` for a host that runs every completion on `executor`
+/// (null = inline on the incrementing thread).  The counter delivers
+/// its OnReach / predicate completions there whatever the spec says:
+/// an "executor=inline|pool[:N]" token is ignored, so no pool starts
+/// and the canonical spec names none.  The counter server builds every
+/// engine this way with one InlineExecutor, so each completion runs on
+/// its loop thread.  Throws std::invalid_argument naming the spec for
+/// "shared:" specs, whose OnReach runs on a watcher thread per wait.
 std::unique_ptr<AnyCounter> make_counter(
-    std::string_view spec,
-    std::shared_ptr<CompletionExecutor> default_executor);
+    std::string_view spec, std::shared_ptr<CompletionExecutor> executor);
 
 /// One-line usage string for CLIs (--counter=SPEC help text).
 std::string_view counter_spec_help();

@@ -1,24 +1,17 @@
 // server.cpp — event-loop implementation of the counter server.
 //
-// Single-threaded by construction: every map, buffer and timer below
-// is owned by the event-loop thread.  The only cross-thread traffic is
-// (a) the completion queue, fed by executor workers when a parked
-// wait's OnReach fires, drained by the loop after an eventfd poke,
-// and (b) the atomic stats gauges.  Wait registrations are shared
-// with the engine through WaitReg tombstones: whoever settles a wait
-// first — the completion firing, a CheckFor timer, a disconnect sweep
-// — claims it with one atomic exchange, and every later party sees a
-// settled reg and does nothing.  That claim is what makes "client died
-// while parked" leak-free without an engine-side deregistration API.
-//
-// Lifetime note: the lambdas handed to OnReach capture a
-// shared_ptr<LoopShared>, never the Impl — the engine's completion
-// plane may run them on an executor worker at any point up to the
-// executor's own destruction, and LoopShared (completion queue, wakeup
-// fd, parked gauge) is the only state they may touch.  ~Impl tears
-// down in the one safe order: stop the loop, destroy the counters
-// (dropping their executor refs), then the executor (drains + joins),
-// then the wakeup eventfd.
+// Single-threaded by construction: every map, buffer, timer and wait
+// registration below is owned by the event-loop thread.  The only
+// cross-thread traffic is the atomic stats gauges and the wake eventfd
+// that Stop, Drain and SIGTERM poke.  The loop is the only thread that
+// increments or poisons an engine, and every engine runs its
+// completions inline, so a parked wait's OnReach fires on the loop,
+// inside the add() or poison() that reached it, and writes its reply
+// straight into the connection's wbuf.  A wait settles once: the fire,
+// a CheckFor timer, a disconnect sweep or a drain, whichever comes
+// first, marks its WaitReg settled, and every later party does nothing.
+// That flag is what makes "client died while parked" leak-free without
+// an engine-side deregistration API.
 
 #include "monotonic/server/server.hpp"
 
@@ -42,7 +35,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <stdexcept>
@@ -77,20 +69,26 @@ std::string exception_message(std::exception_ptr ep) {
   }
 }
 
+/// The executor every engine is built with: completions run inline,
+/// on the loop thread that increments or poisons the counter.  An
+/// executor rather than none, so per-counter Stats count them as
+/// async_completions.
+const std::shared_ptr<CompletionExecutor>& loop_executor() {
+  static const std::shared_ptr<CompletionExecutor> executor =
+      std::make_shared<InlineExecutor>();
+  return executor;
+}
+
 /// Parses the default spec once, up front: a default-spec counter
 /// builds its engine only when first needed, on the loop thread, where
 /// a bad spec could no longer be reported.  Returns the spec's
 /// max_value(), the bound a counter without an engine is held to.
 counter_value_t checked_default_max(const std::string& spec) {
-  const std::string what = "ServerOptions::default_spec '" + spec + "' ";
-  if (spec.rfind("shared:", 0) == 0) {
-    throw std::invalid_argument(what + "names a shared: segment, which "
-                                       "every default-spec name would alias");
-  }
   try {
-    return make_counter(spec)->max_value();
+    return make_counter(spec, loop_executor())->max_value();
   } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(what + "does not parse: " + e.what());
+    throw std::invalid_argument("ServerOptions::default_spec '" + spec +
+                                "' is refused: " + e.what());
   }
 }
 
@@ -268,48 +266,17 @@ class CounterTable {
 struct CounterServer::Impl {
   // ---- wait registrations -----------------------------------------
 
-  /// Shared between the loop, the engine's completion plane and the
-  /// timer wheel.  `settled` starts false; the first settler (fire /
-  /// timeout / disconnect) claims the reg, owns the response (or the
-  /// silence, for disconnects), and decrements the matching gauge.
+  /// Held by the engine's OnReach callbacks, the connection and the
+  /// timer heap, all on the loop thread.  The first settler (fire /
+  /// timeout / disconnect / drain) owns the response (or the silence,
+  /// for disconnects) and drops the parked gauge; see settle().
   struct WaitReg {
-    std::atomic<bool> settled{false};
+    bool settled = false;
     int fd = -1;
     std::uint64_t gen = 0;  ///< connection generation, guards fd reuse
     std::uint64_t req_id = 0;
     std::size_t counter = 0;  ///< table index
     counter_value_t level = 0;
-
-    /// True for exactly one caller.
-    bool claim() { return !settled.exchange(true, std::memory_order_acq_rel); }
-  };
-
-  /// Record posted by an executor worker when a parked wait fires;
-  /// the loop turns it into a response frame.
-  struct Completion {
-    std::shared_ptr<WaitReg> reg;
-    bool poisoned = false;
-    std::string message;  // poison reason
-  };
-
-  /// The state an engine-fired completion may touch.  Owned jointly by
-  /// the Impl and every registered OnReach lambda, so a fire that
-  /// outraces (or outlives) the event loop still lands on live memory.
-  struct LoopShared {
-    std::mutex cq_mutex;
-    std::vector<Completion> cq;
-    std::atomic<int> wake_fd{-1};
-    std::atomic<std::uint64_t> parked{0};  ///< live engine-parked waits
-
-    void enqueue(Completion c) {
-      {
-        std::lock_guard<std::mutex> lk(cq_mutex);
-        cq.push_back(std::move(c));
-      }
-      poke();
-    }
-
-    void poke() { poke_eventfd(wake_fd.load(std::memory_order_acquire)); }
   };
 
   // ---- connections ------------------------------------------------
@@ -372,9 +339,7 @@ struct CounterServer::Impl {
 
   ServerOptions opts;
   counter_value_t inline_max;  ///< default spec's max_value()
-  std::shared_ptr<LoopShared> shared = std::make_shared<LoopShared>();
   CounterTable table;
-  std::shared_ptr<CompletionExecutor> executor;
   std::unordered_map<int, Connection> conns;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers;
   std::vector<std::size_t> dirty;  ///< counters with a pending sum
@@ -387,7 +352,7 @@ struct CounterServer::Impl {
   int uds_fd = -1;
   int tcp_fd = -1;
   int epoll_fd = -1;  ///< every fd below is registered here once
-  int wake_fd = -1;   ///< eventfd: completions, Stop/Drain, SIGTERM
+  int wake_fd = -1;   ///< eventfd: Stop/Drain, SIGTERM
   bool accept_paused = false;  ///< listeners unwatched after EMFILE
   std::uint16_t bound_tcp_port = 0;
   std::thread loop;
@@ -412,22 +377,20 @@ struct CounterServer::Impl {
       s_rejections{0}, s_batched{0}, s_flushes{0}, s_proto_errors{0},
       s_bytes_in{0}, s_bytes_out{0}, s_restored{0}, s_snapshots{0},
       s_journal_records{0}, s_journal_bytes{0}, s_sessions{0}, s_dedup{0},
-      s_slow_consumer{0}, s_shutdown_replies{0}, s_parks{0}, s_spin_ns{0};
+      s_slow_consumer{0}, s_shutdown_replies{0}, s_parks{0}, s_spin_ns{0},
+      s_parked{0};
 
   explicit Impl(ServerOptions o)
       : opts(std::move(o)), inline_max(checked_default_max(opts.default_spec)) {
     if (opts.max_sessions == 0) opts.max_sessions = 1;
-    executor = std::make_shared<ThreadPoolExecutor>(
-        opts.executor_threads == 0 ? 1 : opts.executor_threads);
   }
 
   ~Impl() {
     stop();
-    // Counters drop their executor refs, then the (now sole) executor
-    // ref drains and joins the workers, then the eventfd the workers
-    // were poking can close.  See the lifetime note atop this file.
+    // Engines go first, while the rest of the Impl lives: a +batching
+    // engine flushes as it is destroyed, and a wait that flush reaches
+    // fires into settle().
     table = {};
-    executor.reset();
     for (const int fd : {journal_fd, wake_fd, epoll_fd}) {
       if (fd >= 0) ::close(fd);
     }
@@ -442,20 +405,17 @@ struct CounterServer::Impl {
   static constexpr std::size_t kNone = CounterTable::kNone;
 
   /// Creates the counter `name` names (absent, and table.fits() it)
-  /// with `spec` (empty = default) and returns its index.  kNone = the
-  /// spec failed to parse — the caller decides whether that is
-  /// kBadRequest (wire) or a skip (restore of a spec written by a newer
-  /// binary).  A default-spec counter gets no engine here; see built().
+  /// with `spec` (empty = default) and returns its index.  Throws
+  /// std::invalid_argument when make_counter refuses the spec — the
+  /// caller decides whether that is kBadRequest (wire) or a skip
+  /// (restore of a spec written by a newer binary).  A default-spec
+  /// counter gets no engine here; see built().
   std::size_t create(std::string_view name, std::uint32_t tag,
                      std::string_view spec) {
     Extra extra;
     if (!spec.empty() && spec != opts.default_spec) {
       extra.spec = std::string(spec);
-      try {
-        extra.engine = make_counter(extra.spec, executor);
-      } catch (const std::invalid_argument&) {
-        return kNone;
-      }
+      extra.engine = make_counter(extra.spec, loop_executor());
     }
     const std::size_t i = table.append(name, tag);
     if (extra.engine) table.add_extra(i, std::move(extra));
@@ -470,31 +430,33 @@ struct CounterServer::Impl {
   /// silent.
   std::size_t find_or_create(std::string_view name, std::string_view spec) {
     const std::uint32_t tag = CounterTable::tag_of(name);
-    std::size_t i = table.find(name, tag);
+    const std::size_t i = table.find(name, tag);
     if (i != kNone) return i;
-    const bool fits = table.fits(name);
-    if (fits) i = create(name, tag, spec);
-    if (i == kNone) {
-      std::fprintf(stderr,
-                   "monotonic-server: restore dropped counter '%.*s' "
-                   "(spec '%.*s'): %s\n",
-                   static_cast<int>(name.size()), name.data(),
-                   static_cast<int>(spec.size()), spec.data(),
-                   fits ? "its spec no longer parses" : "counter table full");
+    std::string why = "counter table full";
+    if (table.fits(name)) {
+      try {
+        return create(name, tag, spec);
+      } catch (const std::invalid_argument& e) {
+        why = std::string("its spec no longer parses: ") + e.what();
+      }
     }
-    return i;
+    std::fprintf(stderr,
+                 "monotonic-server: restore dropped counter '%.*s' "
+                 "(spec '%.*s'): %s\n",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<int>(spec.size()), spec.data(), why.c_str());
+    return kNone;
   }
 
   /// The counter's side entry with its engine, built on first need for
   /// a default-spec counter — a parked wait, a Poison, a per-counter
-  /// Stats — and seeded with the value it held inline.  The shared
-  /// executor is ambient: every logical counter's completions drain
-  /// through one pool, so a million counters do not mean a million
-  /// threads.
+  /// Stats — and seeded with the value it held inline.  Like every
+  /// engine here it completes waits inline: an OnReach fires on the
+  /// loop thread, inside the add() or poison() that reaches it.
   Extra& built(std::size_t i) {
     if (Extra* extra = table.extra(i)) return *extra;
     Extra extra;
-    extra.engine = make_counter(opts.default_spec, executor);
+    extra.engine = make_counter(opts.default_spec, loop_executor());
     if (table.applied(i) > 0) extra.engine->Increment(table.applied(i));
     return table.add_extra(i, std::move(extra));
   }
@@ -537,7 +499,6 @@ struct CounterServer::Impl {
       wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
       if (wake_fd < 0) throw_errno("eventfd");
       if (!watch(wake_fd, EPOLL_CTL_ADD, EPOLLIN)) throw_errno("epoll_ctl");
-      shared->wake_fd.store(wake_fd, std::memory_order_release);
     }
     // Restore BEFORE the listeners bind: no client can observe a
     // partially restored name table.
@@ -780,7 +741,7 @@ struct CounterServer::Impl {
   void stop() {
     if (!started) return;
     stopping.store(true);
-    shared->poke();
+    poke_eventfd(wake_fd);
     if (loop.joinable()) loop.join();
     for (auto& [fd, conn] : conns) unwatch_and_close(fd);
     conns.clear();
@@ -845,7 +806,6 @@ struct CounterServer::Impl {
           ready.push_back(fd);
         }
       }
-      drain_completions();
       for (int fd : ready) {
         auto it = conns.find(fd);
         if (it == conns.end()) continue;
@@ -877,16 +837,26 @@ struct CounterServer::Impl {
             g_sigterm_pending.load(std::memory_order_relaxed) != 0);
   }
 
+  /// True when retry_gated() would admit a deferred wait now.  A fire
+  /// in flush_dirty() or a disconnect in reap_dead() frees capacity
+  /// after the tick's retry_gated(), and no event wakes the loop for it.
+  bool gated_admissible() const {
+    return s_gated.load(std::memory_order_relaxed) != 0 &&
+           s_parked.load(std::memory_order_relaxed) < opts.max_parked_waits;
+  }
+
   /// The tick's epoll_wait.  When nothing is ready, it polls for up to
   /// kSpin before it blocks, except on one CPU or after a wait that
-  /// outlasted kSpin.  The spin never runs past the next timer deadline
-  /// and ends at once on Stop or a drain.  `last_wait` carries the
-  /// previous wait's length in and this one's out.
+  /// outlasted kSpin.  The spin never runs past the next timer deadline.
+  /// On Stop, a drain or gated_admissible() it ends at once and the wait
+  /// does not block.  `last_wait` carries the previous wait's length in
+  /// and this one's out.
   int wait_for_events(epoll_event* events, int max, bool may_spin,
                       std::chrono::steady_clock::duration& last_wait) {
     using clock = std::chrono::steady_clock;
-    const auto exiting = [this] {
-      return stopping.load(std::memory_order_relaxed) || drain_pending();
+    const auto must_not_block = [this] {
+      return stopping.load(std::memory_order_relaxed) || drain_pending() ||
+             gated_admissible();
     };
     const auto begin = clock::now();
     int n = ::epoll_wait(epoll_fd, events, max, 0);
@@ -894,7 +864,7 @@ struct CounterServer::Impl {
       auto until = begin + kSpin;
       if (!timers.empty()) until = std::min(until, timers.top().deadline);
       auto now = begin;
-      while (n == 0 && now < until && !exiting()) {
+      while (n == 0 && now < until && !must_not_block()) {
         n = ::epoll_wait(epoll_fd, events, max, 0);
         now = clock::now();
       }
@@ -902,7 +872,7 @@ struct CounterServer::Impl {
                               std::chrono::nanoseconds(now - begin).count()),
                           std::memory_order_relaxed);
     }
-    if (n == 0 && !exiting()) {
+    if (n == 0 && !must_not_block()) {
       s_parks.fetch_add(1, std::memory_order_relaxed);
       n = ::epoll_wait(epoll_fd, events, max, wait_timeout_ms());
     }
@@ -926,11 +896,9 @@ struct CounterServer::Impl {
   void perform_drain() {
     close_listeners();  // refuse new work first
 
-    drain_completions();  // settle anything already fired
     for (auto& [fd, conn] : conns) {
       for (const auto& reg : conn.waits) {
-        if (!reg->claim()) continue;
-        shared->parked.fetch_sub(1, std::memory_order_relaxed);
+        if (settle(*reg) == nullptr) continue;
         respond(conn, Status::kShuttingDown, reg->req_id);
         s_shutdown_replies.fetch_add(1, std::memory_order_relaxed);
       }
@@ -1179,11 +1147,12 @@ struct CounterServer::Impl {
         return respond_message(conn, Status::kOverloaded, req_id,
                                "counter limit reached");
       }
-      i = create(name, tag, spec);
-      if (i == kNone) {
-        return bad_request(conn, req_id,
-                           "Open: unparseable spec '" + std::string(spec) +
-                               "'");
+      try {
+        i = create(name, tag, spec);
+      } catch (const std::invalid_argument& e) {
+        return bad_request(conn, req_id, "Open: bad spec '" +
+                                             std::string(spec) +
+                                             "': " + e.what());
       }
       if (persist()) {
         journal_append(journal_open_body(i + 1, name, spec_of(i)));
@@ -1330,8 +1299,7 @@ struct CounterServer::Impl {
     // Admission control over parked waits: the engine's overload
     // policies mapped onto connections (see server.hpp).
     if (opts.max_parked_waits != 0 &&
-        shared->parked.load(std::memory_order_relaxed) >=
-            opts.max_parked_waits) {
+        s_parked.load(std::memory_order_relaxed) >= opts.max_parked_waits) {
       switch (opts.overload_policy) {
         case OverloadPolicy::kThrow:
           s_rejections.fetch_add(1, std::memory_order_relaxed);
@@ -1359,25 +1327,38 @@ struct CounterServer::Impl {
     }
 
     auto reg = make_reg(conn, req_id, i, level);
-    shared->parked.fetch_add(1, std::memory_order_relaxed);
+    s_parked.fetch_add(1, std::memory_order_relaxed);
     if (timed) timers.push(Timer{*deadline, reg});
-    // Parked connection: the engine holds the registration; the fire
-    // runs on the shared executor, posts a completion and pokes the
-    // loop.  A settled (timed-out / disconnected) reg makes the fire
-    // a no-op, and the lambdas touch only LoopShared (lifetime note
-    // atop this file).
+    // Parked connection: the engine holds the registration and fires
+    // it on this thread, inside the add() or poison() that reaches the
+    // level.  A reg that a timer, disconnect or drain settled first
+    // makes the fire a no-op.
     built(i).engine->OnReach(
         level,
-        [sh = shared, reg] {
-          if (!reg->claim()) return;
-          sh->parked.fetch_sub(1, std::memory_order_relaxed);
-          sh->enqueue({reg, false, {}});
+        [this, reg] {
+          if (Connection* owner = settle(*reg)) {
+            std::string body;
+            put_u64(body, value(reg->counter));
+            respond(*owner, Status::kReached, reg->req_id, body);
+          }
         },
-        [sh = shared, reg](std::exception_ptr ep) {
-          if (!reg->claim()) return;
-          sh->parked.fetch_sub(1, std::memory_order_relaxed);
-          sh->enqueue({reg, true, exception_message(std::move(ep))});
+        [this, reg](std::exception_ptr ep) {
+          if (Connection* owner = settle(*reg)) {
+            respond_message(*owner, Status::kPoisoned, reg->req_id,
+                            exception_message(std::move(ep)));
+          }
         });
+  }
+
+  /// Settles `reg` unless another party settled it first, dropping the
+  /// parked gauge.  Returns the connection owed the reply: null when
+  /// the wait was already settled or its connection is gone.
+  Connection* settle(WaitReg& reg) {
+    if (std::exchange(reg.settled, true)) return nullptr;
+    s_parked.fetch_sub(1, std::memory_order_relaxed);
+    auto it = conns.find(reg.fd);
+    return it != conns.end() && it->second.gen == reg.gen ? &it->second
+                                                          : nullptr;
   }
 
   std::shared_ptr<WaitReg> make_reg(Connection& conn, std::uint64_t req_id,
@@ -1393,7 +1374,7 @@ struct CounterServer::Impl {
     // keeps only its live parks; amortized O(1).
     if (conn.waits.size() == conn.waits.capacity()) {
       std::erase_if(conn.waits, [](const std::shared_ptr<WaitReg>& w) {
-        return w->settled.load(std::memory_order_acquire);
+        return w->settled;
       });
       conn.waits.reserve(2 * conn.waits.size());
     }
@@ -1487,26 +1468,6 @@ struct CounterServer::Impl {
 
   // ---- tick work --------------------------------------------------
 
-  void drain_completions() {
-    std::vector<Completion> batch;
-    {
-      std::lock_guard<std::mutex> lk(shared->cq_mutex);
-      batch.swap(shared->cq);
-    }
-    for (Completion& c : batch) {
-      auto it = conns.find(c.reg->fd);
-      if (it == conns.end() || it->second.gen != c.reg->gen) continue;
-      if (c.poisoned) {
-        respond_message(it->second, Status::kPoisoned, c.reg->req_id,
-                        c.message);
-      } else {
-        std::string body;
-        put_u64(body, value(c.reg->counter));
-        respond(it->second, Status::kReached, c.reg->req_id, body);
-      }
-    }
-  }
-
   void expire_timers() {
     const auto now = std::chrono::steady_clock::now();
     while (!timers.empty() && timers.top().deadline <= now) {
@@ -1516,11 +1477,8 @@ struct CounterServer::Impl {
         resume_accept();
         continue;
       }
-      if (!reg->claim()) continue;
-      shared->parked.fetch_sub(1, std::memory_order_relaxed);
-      auto it = conns.find(reg->fd);
-      if (it != conns.end() && it->second.gen == reg->gen) {
-        respond(it->second, Status::kTimedOut, reg->req_id);
+      if (Connection* owner = settle(*reg)) {
+        respond(*owner, Status::kTimedOut, reg->req_id);
       }
     }
   }
@@ -1536,7 +1494,7 @@ struct CounterServer::Impl {
       while (!conn.gated_frames.empty()) {
         if (conn.gated_frames.front().deadline > now &&
             opts.max_parked_waits != 0 &&
-            shared->parked.load(std::memory_order_relaxed) >=
+            s_parked.load(std::memory_order_relaxed) >=
                 opts.max_parked_waits) {
           break;  // still over capacity; stay gated
         }
@@ -1603,7 +1561,7 @@ struct CounterServer::Impl {
   }
 
   /// The death sweep: a connection that disconnected while parked on
-  /// OnReach must not leak its registrations.  Claiming each live reg
+  /// OnReach must not leak its registrations.  Settling each live reg
   /// tombstones it — the engine's eventual fire is a no-op — and the
   /// parked_waits gauge drops NOW, which is what the Stats op reports
   /// and the robustness test asserts.
@@ -1614,11 +1572,7 @@ struct CounterServer::Impl {
         ++it;
         continue;
       }
-      for (const auto& reg : conn.waits) {
-        if (reg->claim()) {
-          shared->parked.fetch_sub(1, std::memory_order_relaxed);
-        }
-      }
+      for (const auto& reg : conn.waits) settle(*reg);
       if (conn.gated) s_gated.fetch_sub(1, std::memory_order_relaxed);
       unwatch_and_close(conn.fd);
       s_conns.fetch_sub(1, std::memory_order_relaxed);
@@ -1634,7 +1588,7 @@ struct CounterServer::Impl {
     s.counters_open = s_counters.load(std::memory_order_relaxed);
     s.requests = s_requests.load(std::memory_order_relaxed);
     s.responses = s_responses.load(std::memory_order_relaxed);
-    s.parked_waits = shared->parked.load(std::memory_order_relaxed);
+    s.parked_waits = s_parked.load(std::memory_order_relaxed);
     s.gated_connections = s_gated.load(std::memory_order_relaxed);
     s.overload_rejections = s_rejections.load(std::memory_order_relaxed);
     s.batched_increments = s_batched.load(std::memory_order_relaxed);
@@ -1673,7 +1627,7 @@ void CounterServer::Drain() {
   // join it (the drain itself sets `stopping` when it finishes), then
   // run stop() for the fd cleanup.
   impl_->drain_requested.store(true, std::memory_order_relaxed);
-  impl_->shared->poke();
+  poke_eventfd(impl_->wake_fd);
   if (impl_->loop.joinable()) impl_->loop.join();
   impl_->stop();
 }

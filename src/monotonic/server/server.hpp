@@ -15,11 +15,13 @@
 // three a server needs, and each is reused rather than reinvented:
 //
 //   * parked waits ride the completion plane: a blocking Check parks a
-//     CONNECTION as an OnReach registration firing on the shared
-//     ThreadPoolExecutor (injected into every counter via
-//     make_counter(spec, executor)), which posts a completion record
-//     back to the event loop and wakes it through an eventfd — no
-//     server thread ever blocks on a counter;
+//     CONNECTION as an OnReach registration.  Every engine is built
+//     with one InlineExecutor (make_counter(spec, executor)), and the
+//     loop is the only thread that increments or poisons it, so the
+//     wait completes on the loop, inside the add() or poison() that
+//     reaches it, and its reply goes straight into the connection's
+//     write buffer — no server thread ever blocks on a counter, and
+//     the server starts no thread but the loop;
 //   * write-side batching is an inline per-counter sum: increments
 //     within one event-loop tick apply as one engine Increment at tick
 //     end or before any read of the same counter, preserving
@@ -37,11 +39,13 @@
 // connections through OnReach's on_error channel and is answered as a
 // typed kPoisoned frame carrying the reason.
 //
-// A connection that dies while parked does not leak: its wait
-// registrations are tombstoned (an atomic claim raced against the
-// completion firing), the parked_waits gauge drops immediately, and a
-// late engine fire is a no-op against the tombstone — observable via
-// the Stats op ("parked_waits"), which the robustness test pins.
+// A wait settles once, on the loop: the fire, a CheckFor timer, a
+// disconnect or a drain, whichever comes first, marks its registration
+// settled, and every later party does nothing.  So a connection that
+// dies while parked does not leak: its registrations are tombstoned,
+// the parked_waits gauge drops immediately, and a late engine fire is
+// a no-op against the tombstone — observable via the Stats op
+// ("parked_waits"), which the robustness test pins.
 #pragma once
 
 #include <atomic>
@@ -71,9 +75,13 @@ struct ServerOptions {
   /// parked wait is an OnReach registration, so wait-node pools would
   /// go unused.  Parsed once by the constructor, which throws
   /// std::invalid_argument when it does not parse or names a
-  /// "shared:" segment (every default-spec name would alias it).
+  /// "shared:" segment, whose waits would complete off the loop.  An
+  /// Open with a "shared:" spec is refused the same way (kBadRequest),
+  /// and a spec's "executor=" token is ignored.
   std::string default_spec = "hybrid";
-  /// Workers of the one completion pool shared by every counter.
+  /// Ignored: waits complete on the loop thread, so the server starts
+  /// no completion pool.  Kept only because the benchmark reads it;
+  /// the next benchmark change removes it.
   std::size_t executor_threads = 2;
   /// Admission control for parked waits across all connections
   /// (0 = unlimited).

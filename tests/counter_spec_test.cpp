@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "monotonic/core/any_counter.hpp"
+#include "monotonic/core/completion.hpp"
 #include "monotonic/core/shared_counter.hpp"
 
 #if !defined(_WIN32)
@@ -262,6 +265,42 @@ TEST(SpecShared, CanonicalFormRoundTripsAndDropsRedundantFutex) {
 TEST(SpecShared, BareKindNeedsAName) {
   EXPECT_THROW((void)make_counter(CounterKind::kShared),
                std::invalid_argument);
+}
+
+// make_counter(spec, executor): a host that runs every completion on
+// its own executor.
+
+std::size_t thread_count() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+TEST(SpecHosted, HostExecutorReplacesTheSpecsPool) {
+  auto host = std::make_shared<ManualExecutor>();
+  const std::size_t threads = thread_count();
+  auto c = make_counter("hybrid,executor=pool:2", host);
+  EXPECT_EQ(thread_count(), threads);
+  EXPECT_EQ(c->spec(), "hybrid");
+  std::atomic<bool> fired{false};
+  c->OnReach(1, [&] { fired = true; });
+  c->Increment(1);
+  EXPECT_FALSE(fired.load());
+  EXPECT_EQ(host->drain(), 1u);
+  EXPECT_TRUE(fired.load());
+}
+
+TEST(SpecHosted, SharedSpecIsRefused) {
+  const std::string name = "/mc-spec-hosted-" + std::to_string(::getpid());
+  SharedCounter::Unlink(name);
+  try {
+    (void)make_counter("shared:" + name, std::make_shared<InlineExecutor>());
+    ADD_FAILURE() << "a shared: counter completes on its own threads";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shared:" + name), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists("/dev/shm" + name));
 }
 
 #endif  // !_WIN32

@@ -10,6 +10,7 @@
 #include <libgen.h>
 #include <poll.h>
 #include <sched.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -24,6 +25,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -75,6 +78,13 @@ std::string body_message(const ms::ServerClient::Response& resp) {
   ms::Reader r(resp.body);
   std::string_view msg;
   return r.get_str16(msg) ? std::string(msg) : std::string();
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t thread_count() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
 }
 
 /// Resident set size of this process.
@@ -299,6 +309,23 @@ TEST(ServerBasics, ExplicitSpecAndBadSpec) {
   // The connection survives the bad spec — it was a kBadRequest, not a
   // protocol error.
   EXPECT_EQ(c.check(opened.id, 1), 2u);
+
+  // A client's spec starts no server thread: its executor token is
+  // ignored.  Only N = 2 is tried; a large N would start that many.
+  const std::size_t threads = thread_count();
+  const auto pooled = c.open("pooled", "hybrid,executor=pool:2");
+  const std::uint64_t rid = c.on_reach_async(pooled.id, 1);
+  c.increment(pooled.id, 1);
+  EXPECT_EQ(c.await_reach(rid), 1u);
+  EXPECT_EQ(thread_count(), threads);
+
+  // Nor does it map a shared-memory segment: shared: is refused.
+  ::shm_unlink("/mc_server_refused");
+  std::string body;
+  ms::put_str16(body, "refused");
+  ms::put_str16(body, "shared:/mc_server_refused");
+  EXPECT_EQ(c.request(ms::Op::kOpen, body).status, ms::Status::kBadRequest);
+  EXPECT_FALSE(std::filesystem::exists("/dev/shm/mc_server_refused"));
 }
 
 TEST(ServerBasics, UnknownCounterId) {
@@ -452,6 +479,17 @@ TEST(ServerParking, SettledWaitsAreNotRetained) {
   EXPECT_EQ(fx.server().stats().parked_waits, 0u);
   // 100k settled registrations kept alive would be ~10 MB.
   EXPECT_LT(after > before ? after - before : 0, std::size_t{2} << 20);
+}
+
+TEST(ServerParking, WaitReachedByTeardownFlushIsSafe) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("batched-wait", "hybrid+batching,batch=100");
+  c.on_reach_async(opened.id, 5);
+  c.increment(opened.id, 5);  // buffered by the decorator: no fire yet
+  EXPECT_EQ(fx.server().stats().parked_waits, 1u);
+  // Destroying the server destroys the engine, whose batching layer
+  // flushes the 5 and fires the parked wait inline.
 }
 
 TEST(ServerBatching, ReadYourWrites) {
@@ -675,6 +713,37 @@ TEST(ServerOverload, GatedTimedWaitStillTimesOut) {
   // The timed-out frame ungated the connection: it still flows.
   EXPECT_EQ(c.await_reach(parked), 10u);
   EXPECT_EQ(fx.server().stats().gated_connections, 0u);
+}
+
+TEST(ServerOverload, GatedWaitAdmittedInTheTickThatFreesCapacity) {
+  ms::ServerOptions opts;
+  opts.max_parked_waits = 1;
+  opts.overload_policy = OverloadPolicy::kBlockIncrementers;
+  ServerFixture fx(opts);
+  ms::ServerClient gated = fx.connect();
+  ms::ServerClient inc = fx.connect();
+  const auto opened = gated.open("gated-tick");
+  inc.open("gated-tick");
+  gated.on_reach_async(opened.id, 5);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().parked_waits == 1; }));
+  gated.on_reach_async(opened.id, 7);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().gated_connections == 1; }));
+
+  // The fire that frees capacity runs in the tick's flush, after that
+  // tick has retried the gated connections, and no further traffic
+  // comes: the deferred wait must not sit until the idle wait ends.
+  inc.increment(opened.id, 5);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  bool admitted = false;
+  while (!admitted && std::chrono::steady_clock::now() < give_up) {
+    const ms::ServerStats s = fx.server().stats();
+    admitted = s.gated_connections == 0 && s.parked_waits == 1;
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(admitted);
 }
 
 TEST(ServerOverload, GatedConnectionDoesNotSpinTheLoop) {
@@ -940,6 +1009,19 @@ TEST(ServerLoop, IdleLoopParks) {
   // One 50 us spin window after the burst, then a park; a few windows
   // of slack for a slow clock read at the window's end.
   EXPECT_LE(after.at("loop_spin_us") - before.at("loop_spin_us"), 4 * 50u);
+}
+
+TEST(ServerLoop, StartsOnlyTheLoopThread) {
+  const std::size_t before = thread_count();
+  ServerFixture fx;
+  EXPECT_EQ(thread_count(), before + 1);
+  // A parked wait builds an engine and completes on the loop thread.
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("one-thread");
+  const std::uint64_t rid = c.on_reach_async(opened.id, 1);
+  c.increment(opened.id, 1);
+  EXPECT_EQ(c.await_reach(rid), 1u);
+  EXPECT_EQ(thread_count(), before + 1);
 }
 
 TEST(ServerLoop, SingleCpuNeverSpins) {
