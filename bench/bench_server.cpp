@@ -17,14 +17,11 @@
 //                        server_p99   p99 request latency ns (trend)
 //
 // The arrival rate is calibrated: a short closed-loop burst estimates
-// the service rate, and the open loop then runs at ~40% of it — busy
-// enough to batch increments per event-loop tick, below saturation so
-// p99 measures the server, not an unbounded queue.
+// the service rate, and the open loop then runs at ~40% of it, below
+// saturation so p99 measures the server, not an unbounded queue.
 //
-// Shapes to look for: ns/op far below one core's context-switch-pair
-// cost times two (batching amortizes the write side); p50 within a
-// small multiple of a UDS round trip; p99 bounded by the event-loop
-// tick cadence, not the counter count.
+// Shapes to look for: p50 within a small multiple of a UDS round trip;
+// p99 bounded by the event-loop tick cadence, not the counter count.
 //
 // Experiment E17 (fault tolerance, this PR) rides in the same binary:
 //
@@ -338,16 +335,6 @@ void run_e16() {
                  std::to_string(static_cast<long>(thr)),
                  std::to_string(static_cast<long>(ns_per_op)), p50s, p99s});
   bench::print(table);
-
-  const auto st = server.stats();
-  note("server: " + std::to_string(st.batched_increments) +
-       " increments in " + std::to_string(st.flushes) +
-       " flushes (batching " +
-       std::to_string(st.flushes == 0
-                          ? 0.0
-                          : static_cast<double>(st.batched_increments) /
-                                static_cast<double>(st.flushes)) +
-       " per tick)");
 
   g_json.record_levels("server_rpc", opts.default_spec, kConnections,
                        ns_per_op, 1, kCounters);

@@ -128,10 +128,10 @@ bool several_cpus() {
 /// The loop-owned counter table.  A counter is a dense index i; its wire
 /// id is i + 1 (id 0 is the server-wide Stats handle).  Paper §7 sizes a
 /// counter by its levels with waiters, so one nobody waits on costs its
-/// two values, a name offset, one bit and its name bytes:
+/// value, a name offset, one bit and its name bytes:
 ///
-///   * `applied` and `pending` live in fixed pages of kPage counters, so
-///     the table grows without copying them (no realloc peak);
+///   * values live in fixed pages of kPage counters, so the table grows
+///     without copying them (no realloc peak);
 ///   * names are appended to one arena; counter i's name ends at its u32
 ///     offset and starts where counter i - 1's ends;
 ///   * an open-addressing index of (32-bit hash tag | id) slots maps a
@@ -203,12 +203,9 @@ class CounterTable {
         begin, page(i).name_end[i % kPage] - begin);
   }
 
-  counter_value_t& applied(std::size_t i) {
-    return page(i).values[i % kPage].applied;
-  }
-  counter_value_t& pending(std::size_t i) {
-    return page(i).values[i % kPage].pending;
-  }
+  /// Every amount added to counter i.  A built engine holds the same
+  /// value, less what a +batching layer still buffers.
+  counter_value_t& value(std::size_t i) { return page(i).values[i % kPage]; }
 
   /// The counter's side-map entry, null for a plain counter.
   Extra* extra(std::size_t i) {
@@ -227,11 +224,7 @@ class CounterTable {
  private:
   static constexpr std::size_t kPage = 4096;
   struct Page {
-    // Side by side: every Increment and Check reads both.
-    struct {
-      counter_value_t applied = 0;
-      counter_value_t pending = 0;  ///< acked, applied by flush()
-    } values[kPage];
+    counter_value_t values[kPage] = {};
     std::uint32_t name_end[kPage] = {};
     std::uint64_t has_extra[kPage / 64] = {};
   };
@@ -342,7 +335,6 @@ struct CounterServer::Impl {
   CounterTable table;
   std::unordered_map<int, Connection> conns;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers;
-  std::vector<std::size_t> dirty;  ///< counters with a pending sum
 
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, Session,
                      SessionKeyHash>
@@ -374,7 +366,7 @@ struct CounterServer::Impl {
   // other threads.
   std::atomic<std::uint64_t> s_accepted{0}, s_conns{0}, s_counters{0},
       s_requests{0}, s_responses{0}, s_gated{0},
-      s_rejections{0}, s_batched{0}, s_flushes{0}, s_proto_errors{0},
+      s_rejections{0}, s_proto_errors{0},
       s_bytes_in{0}, s_bytes_out{0}, s_restored{0}, s_snapshots{0},
       s_journal_records{0}, s_journal_bytes{0}, s_sessions{0}, s_dedup{0},
       s_slow_consumer{0}, s_shutdown_replies{0}, s_parks{0}, s_spin_ns{0},
@@ -457,14 +449,11 @@ struct CounterServer::Impl {
     if (Extra* extra = table.extra(i)) return *extra;
     Extra extra;
     extra.engine = make_counter(opts.default_spec, loop_executor());
-    if (table.applied(i) > 0) extra.engine->Increment(table.applied(i));
+    if (table.value(i) > 0) extra.engine->Increment(table.value(i));
     return table.add_extra(i, std::move(extra));
   }
 
-  counter_value_t value(std::size_t i) {
-    const Extra* extra = table.extra(i);
-    return extra ? extra->engine->value_lower_bound() : table.applied(i);
-  }
+  counter_value_t value(std::size_t i) { return table.value(i); }
 
   bool poisoned(std::size_t i) {
     const Extra* extra = table.extra(i);
@@ -476,17 +465,21 @@ struct CounterServer::Impl {
     return extra && !extra->spec.empty() ? extra->spec : opts.default_spec;
   }
 
+  /// Paper §7's Increment: an OnReach the amount reaches fires here,
+  /// inline, after the table holds the new value its reply reports.
   void add(std::size_t i, counter_value_t amount) {
-    if (Extra* extra = table.extra(i)) return extra->engine->Increment(amount);
-    table.applied(i) += amount;
+    table.value(i) += amount;
+    if (Extra* extra = table.extra(i)) extra->engine->Increment(amount);
   }
 
-  /// True when `amount` would carry value + pending out of range; the
-  /// default spec's max_value() bounds a counter without an engine.
+  /// True when `amount` would carry the value out of range; the default
+  /// spec's max_value() bounds a counter without an engine.  The table
+  /// value counts what a +batching engine buffers, so no later flush of
+  /// that buffer can overflow the engine.
   bool overflows(std::size_t i, counter_value_t amount) {
     const Extra* extra = table.extra(i);
     const counter_value_t max = extra ? extra->engine->max_value() : inline_max;
-    return amount > max - value(i) - table.pending(i);
+    return amount > max - value(i);
   }
 
   // ---- lifecycle --------------------------------------------------
@@ -623,16 +616,14 @@ struct CounterServer::Impl {
 
   /// Full snapshot + journal rotation.  The tick's un-committed
   /// journal records are superseded by the snapshot (their effects are
-  /// already applied to the engines), so they are dropped, not synced.
+  /// already in the table), so they are dropped, not synced.
   void write_snapshot() {
     if (!persist()) return;
-    flush_dirty();
     StateSnapshot snap;
     snap.epoch = epoch.load(std::memory_order_relaxed);
     snap.generation = generation + 1;
     snap.dedup_window = DedupWindow(opts.dedup_window).window();
     for (std::size_t i = 0; i < table.size(); ++i) {
-      flush(i);
       CounterRecord rec;
       rec.id = i + 1;
       rec.name = table.name(i);
@@ -814,7 +805,6 @@ struct CounterServer::Impl {
 
       expire_timers();
       retry_gated();
-      flush_dirty();
       // Group commit: this tick's journal records hit disk BEFORE any
       // of this tick's responses leave in flush_writes() — an acked
       // increment (or an observed kReached) is durable by the time the
@@ -824,22 +814,23 @@ struct CounterServer::Impl {
       flush_writes();
       reap_dead();
 
-      if (drain_pending()) {
+      if (drain_due()) {
         perform_drain();
         break;
       }
     }
   }
 
-  bool drain_pending() const {
+  bool drain_due() const {
     return drain_requested.load(std::memory_order_relaxed) ||
            (opts.drain_on_sigterm &&
             g_sigterm_pending.load(std::memory_order_relaxed) != 0);
   }
 
   /// True when retry_gated() would admit a deferred wait now.  A fire
-  /// in flush_dirty() or a disconnect in reap_dead() frees capacity
-  /// after the tick's retry_gated(), and no event wakes the loop for it.
+  /// in a later connection's dispatch or a disconnect in reap_dead()
+  /// frees capacity after the tick's retry_gated(), and no event wakes
+  /// the loop for it.
   bool gated_admissible() const {
     return s_gated.load(std::memory_order_relaxed) != 0 &&
            s_parked.load(std::memory_order_relaxed) < opts.max_parked_waits;
@@ -855,7 +846,7 @@ struct CounterServer::Impl {
                       std::chrono::steady_clock::duration& last_wait) {
     using clock = std::chrono::steady_clock;
     const auto must_not_block = [this] {
-      return stopping.load(std::memory_order_relaxed) || drain_pending() ||
+      return stopping.load(std::memory_order_relaxed) || drain_due() ||
              gated_admissible();
     };
     const auto begin = clock::now();
@@ -921,7 +912,6 @@ struct CounterServer::Impl {
       }
     }
 
-    flush_dirty();
     commit_journal();
     write_snapshot();
 
@@ -1190,7 +1180,6 @@ struct CounterServer::Impl {
       return respond_message(conn, Status::kUnknownCounter, req_id,
                              "no counter named '" + std::string(name) + "'");
     }
-    flush(i);
     std::string body;
     put_u64(body, i + 1);
     put_u64(body, value(i));
@@ -1227,8 +1216,8 @@ struct CounterServer::Impl {
       }
       return;
     }
-    // Refused before the dedup window, journal and ack: once acked, an
-    // increment must fit when the tick applies it.
+    // Refused before the dedup window, journal and ack: an increment
+    // that is applied must fit.
     if (overflows(i, amount)) {
       if (ack) {
         bad_request(conn, req_id, "Increment: overflows counter '" +
@@ -1251,20 +1240,10 @@ struct CounterServer::Impl {
       journal_append(journal_increment_body(id, amount, conn.session_hi,
                                             conn.session_lo, seq));
     }
-    // Per-tick batching: applied at tick end or on the next read.
-    if (table.pending(i) == 0 && amount > 0) dirty.push_back(i);
-    table.pending(i) += amount;
-    s_batched.fetch_add(1, std::memory_order_relaxed);
+    // A wait this reaches answers before the ack; both replies leave
+    // after the tick's commit_journal().
+    add(i, amount);
     if (ack) respond(conn, Status::kOk, req_id);
-  }
-
-  /// Read-your-writes: any operation that observes a counter's value
-  /// applies its pending sum first.
-  void flush(std::size_t i) {
-    if (table.pending(i) > 0) {
-      add(i, std::exchange(table.pending(i), 0));
-      s_flushes.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 
   /// `deadline` is set only when retry_gated re-runs a deferred
@@ -1281,7 +1260,6 @@ struct CounterServer::Impl {
     }
     const std::size_t i = table.index(id);
     if (i == kNone) return unknown_counter(conn, req_id, id);
-    flush(i);
     // Fast path: already reached — answer inline, no registration.
     const counter_value_t now = value(i);
     if (now >= level) {
@@ -1390,7 +1368,6 @@ struct CounterServer::Impl {
     }
     const std::size_t i = table.index(id);
     if (i == kNone) return unknown_counter(conn, req_id, id);
-    flush(i);  // increments before the freeze still count
     poison(i, std::string(reason));
     if (persist()) journal_append(journal_poison_body(id, reason));
     respond(conn, Status::kOk, req_id);
@@ -1411,8 +1388,6 @@ struct CounterServer::Impl {
                                {"parked_waits", s.parked_waits},
                                {"gated_connections", s.gated_connections},
                                {"overload_rejections", s.overload_rejections},
-                               {"batched_increments", s.batched_increments},
-                               {"flushes", s.flushes},
                                {"protocol_errors", s.protocol_errors},
                                {"bytes_in", s.bytes_in},
                                {"bytes_out", s.bytes_out},
@@ -1432,7 +1407,6 @@ struct CounterServer::Impl {
     }
     const std::size_t i = table.index(id);
     if (i == kNone) return unknown_counter(conn, req_id, id);
-    flush(i);
     const AnyCounter& counter = *built(i).engine;
     const CounterStatsSnapshot snap = counter.stats();
     respond_pairs(conn, req_id,
@@ -1518,11 +1492,6 @@ struct CounterServer::Impl {
     }
   }
 
-  void flush_dirty() {
-    for (const std::size_t i : dirty) flush(i);
-    dirty.clear();
-  }
-
   void flush_writes() {
     for (auto& [fd, conn] : conns) {
       while (conn.woff < conn.wbuf.size()) {
@@ -1591,8 +1560,6 @@ struct CounterServer::Impl {
     s.parked_waits = s_parked.load(std::memory_order_relaxed);
     s.gated_connections = s_gated.load(std::memory_order_relaxed);
     s.overload_rejections = s_rejections.load(std::memory_order_relaxed);
-    s.batched_increments = s_batched.load(std::memory_order_relaxed);
-    s.flushes = s_flushes.load(std::memory_order_relaxed);
     s.protocol_errors = s_proto_errors.load(std::memory_order_relaxed);
     s.bytes_in = s_bytes_in.load(std::memory_order_relaxed);
     s.bytes_out = s_bytes_out.load(std::memory_order_relaxed);

@@ -11,21 +11,19 @@
 // the default, and for a default-spec counter only when a wait parks
 // on it, it is poisoned, or its Stats are read.
 //
-// The three engine mechanisms this PR-stack built are exactly the
-// three a server needs, and each is reused rather than reinvented:
+// The two engine mechanisms a server needs are reused rather than
+// reinvented:
 //
 //   * parked waits ride the completion plane: a blocking Check parks a
 //     CONNECTION as an OnReach registration.  Every engine is built
 //     with one InlineExecutor (make_counter(spec, executor)), and the
-//     loop is the only thread that increments or poisons it, so the
-//     wait completes on the loop, inside the add() or poison() that
-//     reaches it, and its reply goes straight into the connection's
-//     write buffer — no server thread ever blocks on a counter, and
-//     the server starts no thread but the loop;
-//   * write-side batching is an inline per-counter sum: increments
-//     within one event-loop tick apply as one engine Increment at tick
-//     end or before any read of the same counter, preserving
-//     read-your-writes;
+//     loop is the only thread that increments or poisons it.  An
+//     Increment is applied where the loop parses it (paper §7: add,
+//     then release every level now reached), so a wait completes on
+//     the loop, inside the request that reaches it, and its reply goes
+//     straight into the connection's write buffer — no server thread
+//     ever blocks on a counter, and the server starts no thread but
+//     the loop;
 //   * admission control rides OverloadPolicy: when parked waits exceed
 //     max_parked_waits the policy decides — kThrow answers
 //     kOverloaded (typed client-side as CounterOverloadedError),
@@ -144,8 +142,6 @@ struct ServerStats {
   std::uint64_t parked_waits = 0;       ///< live parked Check/OnReach waits
   std::uint64_t gated_connections = 0;  ///< connections under backpressure
   std::uint64_t overload_rejections = 0;
-  std::uint64_t batched_increments = 0; ///< increments absorbed into a batch
-  std::uint64_t flushes = 0;            ///< pending-sum applies (tick + read-side)
   std::uint64_t protocol_errors = 0;    ///< bad frames answered or dropped
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -185,9 +181,8 @@ class CounterServer {
 
   /// Graceful drain, the SIGTERM path: refuses new connections,
   /// answers every parked wait kShuttingDown (typed — a
-  /// retry-aware client backs off instead of storming), flushes
-  /// batches, writes a final snapshot, best-effort-flushes response
-  /// buffers, then stops.  Idempotent; blocks until the loop exits.
+  /// retry-aware client backs off instead of storming), writes a final
+  /// snapshot, best-effort-flushes response buffers, then stops.  Idempotent; blocks until the loop exits.
   void Drain();
 
   /// True once a drain (Drain() or SIGTERM) has completed — the hook

@@ -363,6 +363,30 @@ TEST(Recovery, RejectedOverflowNeverReachesTheJournal) {
   ::unlink((o.state_file + ".journal").c_str());
 }
 
+TEST(Recovery, BatchingSpecBufferedIncrementsReachTheSnapshot) {
+  // Acked increments a +batching engine still buffers are part of the
+  // value: the compacting snapshot at Start and the drain's snapshot
+  // both record them.
+  ms::ServerOptions o;
+  o.uds_path = unique_path("batching.sock");
+  o.state_file = unique_path("batching.state");
+  const auto phase = [&o](std::uint64_t expected, std::uint64_t amount,
+                          bool drain) {
+    ms::CounterServer server(o);
+    server.Start();
+    ms::ServerClient c = ms::ServerClient::connect_uds(o.uds_path);
+    const auto opened = c.open("buffered", "hybrid+batching,batch=1000");
+    EXPECT_EQ(opened.value, expected);
+    c.increment(opened.id, amount);
+    drain ? server.Drain() : server.Stop();
+  };
+  phase(0, 5, /*drain=*/false);  // the journal holds the 5
+  phase(5, 2, /*drain=*/true);   // the Start-time snapshot must too
+  phase(7, 0, /*drain=*/false);  // the drain's snapshot holds the 7
+  ::unlink(o.state_file.c_str());
+  ::unlink((o.state_file + ".journal").c_str());
+}
+
 TEST(Recovery, DeferredAndBuiltEnginesRestoreExactly) {
   // Three default-spec counters: "plain" never builds its engine,
   // "parked" builds it for a parked Check, "poisoned" for its Poison.

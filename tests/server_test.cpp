@@ -492,13 +492,48 @@ TEST(ServerParking, WaitReachedByTeardownFlushIsSafe) {
   // flushes the 5 and fires the parked wait inline.
 }
 
+TEST(ServerParking, IncrementReleasesItsOwnConnectionsWait) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  // Acked: the wait fires inside the increment's dispatch, and the
+  // kReached and the ack both answer, in either order.
+  const auto acked = c.open("self/acked");
+  const std::uint64_t rid = c.on_reach_async(acked.id, 5);
+  c.increment(acked.id, 5);
+  EXPECT_EQ(c.await_reach(rid), 5u);
+  EXPECT_EQ(fx.server().stats().parked_waits, 0u);
+
+  // No-ack: five increments and a Check in one write, parsed in one
+  // tick; the fifth increment fires the wait.
+  const auto noack = c.open("self/noack");
+  const std::uint64_t noack_rid = c.on_reach_async(noack.id, 5);
+  std::string burst;
+  for (int i = 0; i < 5; ++i) {
+    std::string body;
+    ms::put_u64(body, noack.id);
+    ms::put_u64(body, 1);
+    ms::put_u8(body, ms::kIncrementNoAck);
+    burst += ms::make_frame(static_cast<std::uint8_t>(ms::Op::kIncrement),
+                            /*req_id=*/0, body);
+  }
+  constexpr std::uint64_t kCheckReq = 1'000'000;
+  std::string check;
+  ms::put_u64(check, noack.id);
+  ms::put_u64(check, 5);
+  burst += ms::make_frame(static_cast<std::uint8_t>(ms::Op::kCheck), kCheckReq,
+                          check);
+  c.send_raw(burst);
+  EXPECT_EQ(c.await_response(kCheckReq).status, ms::Status::kReached);
+  EXPECT_EQ(c.await_reach(noack_rid), 5u);
+  EXPECT_EQ(fx.server().stats().parked_waits, 0u);
+}
+
 TEST(ServerBatching, ReadYourWrites) {
   ServerFixture fx;
   ms::ServerClient c = fx.connect();
   const auto opened = c.open("batched");
-  // Ten no-ack increments in ONE write: they land in one event-loop
-  // tick and coalesce in the counter's pending sum.  (Acked increments
-  // are one round-trip each — a tick apiece — so they apply singly.)
+  // Ten no-ack increments in ONE write, so they land in one event-loop
+  // tick.  Each is applied as it is parsed.
   std::string burst;
   for (int i = 0; i < 10; ++i) {
     std::string body;
@@ -509,11 +544,9 @@ TEST(ServerBatching, ReadYourWrites) {
                             /*req_id=*/0, body);
   }
   c.send_raw(burst);
-  // A read op must flush the batch first: the client sees all ten.
+  // A read behind them sees all ten.
   EXPECT_EQ(c.stats(opened.id).at("value"), 10u);
   EXPECT_EQ(c.check(opened.id, 10), 10u);
-  // The engine saw coalesced sub-batches, not ten singles.
-  EXPECT_LT(c.stats(opened.id).at("increments"), 10u);
 }
 
 TEST(ServerPoison, PropagatesTypedToParkedAndFutureWaiters) {
@@ -862,7 +895,7 @@ TEST(ServerRobustness, OverflowingIncrementAnswersBadRequest) {
   EXPECT_THROW(c.increment(opened.id, std::uint64_t{1} << 63),
                std::invalid_argument);
   // A no-ack pair in one write (one tick): the first fits, the second
-  // would carry applied + pending past the maximum and is dropped.
+  // would carry the value past the maximum and is dropped.
   std::string pair;
   for (const std::uint64_t amount : {max - 10, std::uint64_t{6}}) {
     std::string body;
@@ -879,6 +912,24 @@ TEST(ServerRobustness, OverflowingIncrementAnswersBadRequest) {
   EXPECT_EQ(c.check(opened.id, max), max);
   EXPECT_THROW(c.increment(opened.id, 1), std::invalid_argument);
   EXPECT_EQ(c.stats(opened.id).at("value"), max);
+}
+
+TEST(ServerRobustness, BatchingSpecOverflowAnswersBadRequest) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("buffered", "hybrid+batching,batch=1000");
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max() >> 1;
+  c.increment(opened.id, max - 10);  // reaches the batch: applied
+  c.increment(opened.id, 6);         // buffered by the decorator
+  // The buffered 6 counts: a second 6 would carry the value past max.
+  EXPECT_THROW(c.increment(opened.id, 6), std::invalid_argument);
+  // A parked wait makes the decorator flush its buffer; that flush must
+  // fit, so the server stays up.
+  EXPECT_FALSE(c.check_for(opened.id, max, std::chrono::milliseconds(20)));
+  EXPECT_EQ(c.check(opened.id, max - 4), max - 4);
+  c.increment(opened.id, 4);
+  EXPECT_EQ(c.resolve("buffered").value, max);
+  EXPECT_EQ(fx.server().stats().connections_open, 1u);
 }
 
 TEST(ServerRobustness, HalfFrameThenDisconnectLeaksNothing) {
