@@ -55,8 +55,8 @@ void synthetic_table() {
       const auto st = counter.stats();
       table.add_row({cell(walkers), cell(rounds), cell(walkers * rounds),
                      cell(st.max_live_nodes),
-                     cell(st.nodes_allocated - st.nodes_pooled),
-                     cell(st.nodes_pooled)});
+                     cell(st.nodes_allocated - st.pool_hits),
+                     cell(st.pool_hits)});
     }
   }
   bench::print(table);
@@ -76,7 +76,7 @@ void fw_table() {
       const auto s = counter.stats();
       table.add_row({cell(n), cell(threads), cell(n - 1),
                      cell(s.max_live_nodes), cell(s.max_live_waiters),
-                     cell(s.nodes_pooled)});
+                     cell(s.pool_hits)});
     }
   }
   bench::print(table);

@@ -690,9 +690,10 @@ std::unique_ptr<AnyCounter> build_layers(const std::vector<SpecPart>& parts,
 }
 
 /// Builds a spec that is not "shared:".  With a `host` executor, it
-/// runs every completion and the spec's executor token is ignored: no
-/// pool starts and the canonical spec names none.  Without one, the
-/// spec's pool (if any) starts once the whole spec has parsed.
+/// runs every completion and the spec's executor token and batching
+/// layer are ignored: no pool starts and the canonical spec names
+/// neither.  Without one, the spec's pool (if any) starts once the
+/// whole spec has parsed.
 std::unique_ptr<AnyCounter> build_spec(
     std::string_view spec,
     std::optional<std::shared_ptr<CompletionExecutor>> host) {
@@ -701,9 +702,13 @@ std::unique_ptr<AnyCounter> build_spec(
   const PoolPrefix pool = take_pool_prefix(parts);
   validate_decorators(parts);
   // A broadcast layer (removed) is dropped: every shard held the full
-  // value, so the layer beneath answers every call the same way.
+  // value, so the layer beneath answers every call the same way.  A
+  // host drops a batching layer too: its one incrementer applies each
+  // Increment where it parses it, and an Increment releases every
+  // level it reaches (paper §7), which a buffered amount would not.
   std::erase_if(parts, [&](const SpecPart& p) {
-    return &p != &parts.front() && p.name == "broadcast";
+    return &p != &parts.front() &&
+           (p.name == "broadcast" || (host && p.name == "batching"));
   });
   BaseConfig base = parse_base(parts.front(), shard, pool);
   if (host) {

@@ -156,10 +156,12 @@ std::unique_ptr<AnyCounter> make_counter(std::string_view spec);
 /// (null = inline on the incrementing thread).  The counter delivers
 /// its OnReach / predicate completions there whatever the spec says:
 /// an "executor=inline|pool[:N]" token is ignored, so no pool starts
-/// and the canonical spec names none.  The counter server builds every
-/// engine this way with one InlineExecutor, so each completion runs on
-/// its loop thread.  Throws std::invalid_argument naming the spec for
-/// "shared:" specs, whose OnReach runs on a watcher thread per wait.
+/// and the canonical spec names none.  A "+batching" layer is dropped
+/// the same way, so every Increment releases the levels it reaches.
+/// The counter server builds every engine this way with one
+/// InlineExecutor, so each completion runs on its loop thread.  Throws
+/// std::invalid_argument naming the spec for "shared:" specs, whose
+/// OnReach runs on a watcher thread per wait.
 std::unique_ptr<AnyCounter> make_counter(
     std::string_view spec, std::shared_ptr<CompletionExecutor> executor);
 

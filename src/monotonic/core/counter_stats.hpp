@@ -8,203 +8,125 @@
 // E5/E6 benches report them directly.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "monotonic/support/config.hpp"
+#include "monotonic/support/stat_block.hpp"
 #include "monotonic/support/table.hpp"
 
 namespace monotonic {
 
+/// Every structural statistic, declared once (support/stat_block.hpp):
+/// X(name, kind, arg).  CounterStats stores all but the last two; a
+/// cross-process counter (shared_counter.hpp) fills those from its
+/// segment header, and an in-process counter reports epoch 0, which is
+/// how printers tell the families apart.
+#define MONOTONIC_COUNTER_STATS(X)                                            \
+  X(increments, kTotal, 0)           /* Increment() calls */                  \
+  X(checks, kTotal, 0)               /* Check() calls */                      \
+  X(fast_checks, kTotal, 0)          /* Check() satisfied without sleep */    \
+  X(suspensions, kTotal, 0)          /* Check() calls that slept */           \
+  X(wakeups, kTotal, 0)              /* threads woken by Increment() */       \
+  X(notifies, kTotal, 0)             /* condvar notify_all calls issued */    \
+  X(nodes_allocated, kTotal, 0)      /* wait nodes created (incl reuse) */    \
+  X(live_nodes, kLevel, 0)           /* wait nodes linked or waited on */     \
+  X(max_live_nodes, kPeak, live_nodes)                                        \
+  X(live_waiters, kLevel, 0)         /* threads sleeping in a Check */        \
+  X(max_live_waiters, kPeak, live_waiters)                                    \
+  X(spurious_wakeups, kTotal, 0)     /* woken with predicate still false */   \
+  X(poisons, kTotal, 0)              /* Poison() calls that took effect */    \
+  X(aborted_wakeups, kTotal, 0)      /* waiters woken by Poison */            \
+  X(cancelled_checks, kTotal, 0)     /* Check(level, stop) cancelled */       \
+  X(dropped_increments, kTotal, 0)   /* increments on a poisoned counter */   \
+  X(stall_reports, kTotal, 0)        /* watchdog reports emitted */           \
+  X(fast_path_increments, kTotal, 0) /* increments that skipped the lock */   \
+  X(collapses, kTotal, 0)            /* striped-plane sums under the lock */  \
+  X(timed_out_checks, kTotal, 0)     /* CheckFor/CheckUntil deadlines */      \
+  X(overload_rejections, kTotal, 0)  /* waiters turned away by admission */   \
+  X(pool_hits, kTotal, 0)            /* node allocations the pool served */   \
+  X(pool_misses, kTotal, 0)          /* node allocations from the heap */     \
+  X(stripe_count, kConfig, 1)        /* value-plane stripes (1 = plain) */    \
+  X(bulk_wakes, kTotal, 0)           /* releases that woke 2+ levels */       \
+  X(index_depth, kPeak, kNoStat)     /* deepest level-index shard heap */     \
+  X(wait_shard_count, kConfig, 1)    /* level-index shards (1 = plain) */     \
+  X(predicate_checks, kTotal, 0)     /* Check(pred) calls */                  \
+  X(async_completions, kTotal, 0)    /* reached chains posted */              \
+  X(participant_deaths, kTotal, 0)   /* deaths seen, segment lifetime */      \
+  X(epoch, kConfig, 0)               /* shared epoch (0 = in-process) */
+
 /// Plain-value snapshot of CounterStats, safe to copy and compare.
 struct CounterStatsSnapshot {
-  std::uint64_t increments = 0;       ///< Increment() calls
-  std::uint64_t checks = 0;           ///< Check() calls
-  std::uint64_t fast_checks = 0;      ///< Check() satisfied without sleeping
-  std::uint64_t suspensions = 0;      ///< Check() calls that slept
-  std::uint64_t wakeups = 0;          ///< threads woken by Increment()
-  std::uint64_t notifies = 0;         ///< condvar notify_all calls issued
-  std::uint64_t nodes_allocated = 0;  ///< wait nodes created (incl. reused)
-  std::uint64_t nodes_pooled = 0;     ///< allocations served from the pool
-  std::uint64_t live_nodes = 0;       ///< wait nodes currently linked/waited
-  std::uint64_t max_live_nodes = 0;   ///< high-water mark of live_nodes
-  std::uint64_t max_live_waiters = 0; ///< high-water mark of sleeping threads
-  std::uint64_t spurious_wakeups = 0; ///< woken with predicate still false
-  std::uint64_t poisons = 0;          ///< Poison() calls that took effect
-  std::uint64_t aborted_wakeups = 0;  ///< waiters woken by Poison, not reached
-  std::uint64_t cancelled_checks = 0; ///< Check(level, stop) cancelled returns
-  std::uint64_t dropped_increments = 0; ///< increments on a poisoned counter
-  std::uint64_t stall_reports = 0;    ///< watchdog reports emitted
-  std::uint64_t fast_path_increments = 0; ///< increments that skipped the mutex
-  std::uint64_t collapses = 0;        ///< striped-plane sums under the mutex
-  std::uint64_t timed_out_checks = 0; ///< CheckFor/CheckUntil deadline returns
-  std::uint64_t overload_rejections = 0; ///< waiters turned away by admission
-  std::uint64_t pool_hits = 0;        ///< node allocations served by the pool
-  std::uint64_t pool_misses = 0;      ///< node allocations that hit the heap
-  std::uint64_t stripe_count = 1;     ///< value-plane stripes (1 = unsharded)
-  std::uint64_t bulk_wakes = 0;       ///< releases that woke 2+ levels at once
-  std::uint64_t index_depth = 0;      ///< level index: high-water shard depth
-  std::uint64_t wait_shard_count = 1; ///< level-index shards (1 = unsharded)
-  std::uint64_t predicate_checks = 0; ///< Check(pred) calls (threshold reduced)
-  std::uint64_t async_completions = 0; ///< reached chains posted to an executor
-  // Cross-process fields (shared_counter.hpp); an in-process counter
-  // reports epoch 0, which is how printers tell the families apart.
-  std::uint64_t participant_deaths = 0; ///< deaths detected, segment lifetime
-  std::uint64_t epoch = 0;            ///< shared epoch (0 = in-process)
+  MONOTONIC_COUNTER_STATS(MONOTONIC_STAT_FIELD)
 };
 
-/// Thread-safe accumulator.  All mutators are relaxed: these are
-/// diagnostics, not synchronization.
-class CounterStats {
- public:
-  void on_increment() noexcept { bump(increments_); }
-  void on_check() noexcept { bump(checks_); }
-  void on_fast_check() noexcept { bump(fast_checks_); }
-  void on_spurious_wakeup() noexcept { bump(spurious_wakeups_); }
-  void on_notify() noexcept { bump(notifies_); }
-  void on_poison() noexcept { bump(poisons_); }
-  void on_cancelled_check() noexcept { bump(cancelled_checks_); }
-  void on_dropped_increment() noexcept { bump(dropped_increments_); }
-  void on_stall_report() noexcept { bump(stall_reports_); }
-  void on_fast_increment() noexcept { bump(fast_path_increments_); }
-  void on_collapse() noexcept { bump(collapses_); }
-  void on_timed_out_check() noexcept { bump(timed_out_checks_); }
-  void on_overload_rejection() noexcept { bump(overload_rejections_); }
-  void on_predicate_check() noexcept { bump(predicate_checks_); }
-  void on_async_completion() noexcept { bump(async_completions_); }
+MONOTONIC_STAT_LIST(CounterStatsSnapshot, MONOTONIC_COUNTER_STATS);
+using CounterStat = StatList<CounterStatsSnapshot>;
 
-  /// Configuration, not a counter: recorded by striped value planes at
-  /// construction so snapshots and printers can tell sharded counters
-  /// apart.  Not gated on MONOTONIC_ENABLE_STATS (it costs nothing
-  /// after construction) and not cleared by reset().
-  void set_stripe_count(std::uint64_t n) noexcept {
-    stripe_count_.store(n, std::memory_order_relaxed);
+/// A counter's statistics block, with one method per engine event.
+/// All mutators are relaxed: these are diagnostics, not
+/// synchronization.
+class CounterStats
+    : public StatBlock<CounterStatsSnapshot, CounterStat::participant_deaths> {
+ public:
+  void on_increment() noexcept { add(CounterStat::increments); }
+  void on_check() noexcept { add(CounterStat::checks); }
+  void on_fast_check() noexcept { add(CounterStat::fast_checks); }
+  void on_spurious_wakeup() noexcept { add(CounterStat::spurious_wakeups); }
+  void on_notify() noexcept { add(CounterStat::notifies); }
+  void on_poison() noexcept { add(CounterStat::poisons); }
+  void on_cancelled_check() noexcept { add(CounterStat::cancelled_checks); }
+  void on_dropped_increment() noexcept {
+    add(CounterStat::dropped_increments);
   }
-  /// Configuration, not a counter: the level index's resolved shard
-  /// count.  Same rules as set_stripe_count —
-  /// not gated, survives reset().
+  void on_stall_report() noexcept { add(CounterStat::stall_reports); }
+  void on_fast_increment() noexcept { add(CounterStat::fast_path_increments); }
+  void on_collapse() noexcept { add(CounterStat::collapses); }
+  void on_timed_out_check() noexcept { add(CounterStat::timed_out_checks); }
+  void on_overload_rejection() noexcept {
+    add(CounterStat::overload_rejections);
+  }
+  void on_predicate_check() noexcept { add(CounterStat::predicate_checks); }
+  void on_async_completion() noexcept { add(CounterStat::async_completions); }
+
+  /// Configuration, recorded by striped value planes at construction
+  /// so snapshots and printers can tell sharded counters apart.
+  void set_stripe_count(std::uint64_t n) noexcept {
+    set(CounterStat::stripe_count, n);
+  }
+  /// Configuration: the level index's resolved shard count.
   void set_wait_shard_count(std::uint64_t n) noexcept {
-    wait_shard_count_.store(n, std::memory_order_relaxed);
+    set(CounterStat::wait_shard_count, n);
   }
   /// A release pass (Increment's release_prefix or Poison's abort_all)
   /// that woke two or more levels in one sweep — the level index's
   /// bulk-wake path.
-  void on_bulk_wake() noexcept { bump(bulk_wakes_); }
+  void on_bulk_wake() noexcept { add(CounterStat::bulk_wakes); }
   /// High-water mark of a wait-plane shard's heap depth (floor(log2 n)
   /// + 1) — the O(log L) the index's complexity claim is about.
   void on_index_depth(std::uint64_t depth) noexcept {
-#if MONOTONIC_ENABLE_STATS
-    raise_max(index_depth_, depth);
-#else
-    (void)depth;
-#endif
+    raise(CounterStat::index_depth, depth);
   }
-  void on_wakeups(std::uint64_t n) noexcept {
-#if MONOTONIC_ENABLE_STATS
-    wakeups_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  void on_wakeups(std::uint64_t n) noexcept { add(CounterStat::wakeups, n); }
   void on_aborted_wakeups(std::uint64_t n) noexcept {
-#if MONOTONIC_ENABLE_STATS
-    wakeups_.fetch_add(n, std::memory_order_relaxed);
-    aborted_wakeups_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
+    add(CounterStat::wakeups, n);
+    add(CounterStat::aborted_wakeups, n);
   }
 
   void on_node_allocated(bool from_pool) noexcept {
-#if MONOTONIC_ENABLE_STATS
-    bump(nodes_allocated_);
-    if (from_pool) {
-      bump(nodes_pooled_);
-      bump(pool_hits_);
-    } else {
-      bump(pool_misses_);
-    }
-    const auto live = live_nodes_.fetch_add(1, std::memory_order_relaxed) + 1;
-    raise_max(max_live_nodes_, live);
-#else
-    (void)from_pool;
-#endif
+    add(CounterStat::nodes_allocated);
+    add(from_pool ? CounterStat::pool_hits : CounterStat::pool_misses);
+    raise(CounterStat::max_live_nodes, add(CounterStat::live_nodes));
   }
-
-  void on_node_freed() noexcept {
-#if MONOTONIC_ENABLE_STATS
-    live_nodes_.fetch_sub(1, std::memory_order_relaxed);
-#endif
-  }
+  void on_node_freed() noexcept { sub(CounterStat::live_nodes); }
 
   void on_suspend() noexcept {
-#if MONOTONIC_ENABLE_STATS
-    bump(suspensions_);
-    const auto live =
-        live_waiters_.fetch_add(1, std::memory_order_relaxed) + 1;
-    raise_max(max_live_waiters_, live);
-#endif
+    add(CounterStat::suspensions);
+    raise(CounterStat::max_live_waiters, add(CounterStat::live_waiters));
   }
-
-  void on_resume() noexcept {
-#if MONOTONIC_ENABLE_STATS
-    live_waiters_.fetch_sub(1, std::memory_order_relaxed);
-#endif
-  }
-
-  CounterStatsSnapshot snapshot() const noexcept;
-  void reset() noexcept;
-
- private:
-  static void bump(std::atomic<std::uint64_t>& a) noexcept {
-#if MONOTONIC_ENABLE_STATS
-    a.fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)a;
-#endif
-  }
-  static void raise_max(std::atomic<std::uint64_t>& max,
-                        std::uint64_t candidate) noexcept {
-    std::uint64_t cur = max.load(std::memory_order_relaxed);
-    while (candidate > cur &&
-           !max.compare_exchange_weak(cur, candidate,
-                                      std::memory_order_relaxed)) {
-    }
-  }
-
-  std::atomic<std::uint64_t> increments_{0};
-  std::atomic<std::uint64_t> checks_{0};
-  std::atomic<std::uint64_t> fast_checks_{0};
-  std::atomic<std::uint64_t> suspensions_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> notifies_{0};
-  std::atomic<std::uint64_t> nodes_allocated_{0};
-  std::atomic<std::uint64_t> nodes_pooled_{0};
-  std::atomic<std::uint64_t> live_nodes_{0};
-  std::atomic<std::uint64_t> max_live_nodes_{0};
-  std::atomic<std::uint64_t> live_waiters_{0};
-  std::atomic<std::uint64_t> max_live_waiters_{0};
-  std::atomic<std::uint64_t> spurious_wakeups_{0};
-  std::atomic<std::uint64_t> poisons_{0};
-  std::atomic<std::uint64_t> aborted_wakeups_{0};
-  std::atomic<std::uint64_t> cancelled_checks_{0};
-  std::atomic<std::uint64_t> dropped_increments_{0};
-  std::atomic<std::uint64_t> stall_reports_{0};
-  std::atomic<std::uint64_t> fast_path_increments_{0};
-  std::atomic<std::uint64_t> collapses_{0};
-  std::atomic<std::uint64_t> timed_out_checks_{0};
-  std::atomic<std::uint64_t> overload_rejections_{0};
-  std::atomic<std::uint64_t> pool_hits_{0};
-  std::atomic<std::uint64_t> pool_misses_{0};
-  std::atomic<std::uint64_t> stripe_count_{1};
-  std::atomic<std::uint64_t> bulk_wakes_{0};
-  std::atomic<std::uint64_t> index_depth_{0};
-  std::atomic<std::uint64_t> wait_shard_count_{1};
-  std::atomic<std::uint64_t> predicate_checks_{0};
-  std::atomic<std::uint64_t> async_completions_{0};
+  void on_resume() noexcept { sub(CounterStat::live_waiters); }
 };
 
 /// Renders labelled snapshots as an aligned table.  Built on TextTable,

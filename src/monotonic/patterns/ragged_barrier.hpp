@@ -15,7 +15,6 @@
 // threads, not to the problem size."
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -65,31 +64,14 @@ class RaggedBarrier {
     return counters_[i].value;
   }
 
-  /// Structural stats summed over all party counters; max_* fields are
-  /// the maximum over parties (per-counter high-water marks).  Only
-  /// available when C is instrumented.
+  /// Structural stats merged over all party counters (merge_stats):
+  /// totals and live levels summed, high-water marks and configuration
+  /// the maximum over parties.  Only available when C is instrumented.
   CounterStatsSnapshot aggregate_stats() const
     requires requires(const C& c) { c.stats(); }
   {
     CounterStatsSnapshot total;
-    for (const auto& slot : counters_) {
-      const auto s = slot.value.stats();
-      total.increments += s.increments;
-      total.checks += s.checks;
-      total.fast_checks += s.fast_checks;
-      total.suspensions += s.suspensions;
-      total.wakeups += s.wakeups;
-      total.notifies += s.notifies;
-      total.nodes_allocated += s.nodes_allocated;
-      total.spurious_wakeups += s.spurious_wakeups;
-      total.fast_path_increments += s.fast_path_increments;
-      total.collapses += s.collapses;
-      total.max_live_nodes =
-          std::max(total.max_live_nodes, s.max_live_nodes);
-      total.max_live_waiters =
-          std::max(total.max_live_waiters, s.max_live_waiters);
-      total.stripe_count = std::max(total.stripe_count, s.stripe_count);
-    }
+    for (const auto& slot : counters_) merge_stats(total, slot.value.stats());
     return total;
   }
 

@@ -2,7 +2,7 @@
 //
 // Single-threaded by construction: every map, buffer, timer and wait
 // registration below is owned by the event-loop thread.  The only
-// cross-thread traffic is the atomic stats gauges and the wake eventfd
+// cross-thread traffic is the atomic stats block and the wake eventfd
 // that Stop, Drain and SIGTERM poke.  The loop is the only thread that
 // increments or poisons an engine, and every engine runs its
 // completions inline, so a parked wait's OnReach fires on the loop,
@@ -54,6 +54,8 @@
 namespace monotonic::server {
 
 namespace {
+
+using ServerStat = StatList<ServerStats>;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -204,7 +206,7 @@ class CounterTable {
   }
 
   /// Every amount added to counter i.  A built engine holds the same
-  /// value, less what a +batching layer still buffers.
+  /// value.
   counter_value_t& value(std::size_t i) { return page(i).values[i % kPage]; }
 
   /// The counter's side-map entry, null for a plain counter.
@@ -353,24 +355,19 @@ struct CounterServer::Impl {
   std::atomic<bool> drained{false};
   bool started = false;
 
-  // Durable state (opts.state_file).  All loop-thread-owned except the
-  // atomics stats() reads.
-  std::atomic<std::uint64_t> epoch{1};
+  // Durable state (opts.state_file), loop-thread-owned.  The epoch is
+  // a statistic: stats() and Hello read it.
   std::uint64_t generation = 1;  ///< snapshot/journal glue
   int journal_fd = -1;
   std::string journal_pending;        ///< this tick's records
   std::size_t journal_since_rotate = 0;
   bool journal_write_failed = false;  ///< warn-once latch
 
-  // Loop-side counters; atomics only because stats() reads them from
-  // other threads.
-  std::atomic<std::uint64_t> s_accepted{0}, s_conns{0}, s_counters{0},
-      s_requests{0}, s_responses{0}, s_gated{0},
-      s_rejections{0}, s_proto_errors{0},
-      s_bytes_in{0}, s_bytes_out{0}, s_restored{0}, s_snapshots{0},
-      s_journal_records{0}, s_journal_bytes{0}, s_sessions{0}, s_dedup{0},
-      s_slow_consumer{0}, s_shutdown_replies{0}, s_parks{0}, s_spin_ns{0},
-      s_parked{0};
+  // Loop-side statistics; atomics only because stats() reads them
+  // from other threads.
+  StatBlock<ServerStats> stats;
+  /// Spun nanoseconds not yet a whole microsecond of loop_spin_us.
+  std::uint64_t spin_ns_carry = 0;
 
   explicit Impl(ServerOptions o)
       : opts(std::move(o)), inline_max(checked_default_max(opts.default_spec)) {
@@ -379,10 +376,6 @@ struct CounterServer::Impl {
 
   ~Impl() {
     stop();
-    // Engines go first, while the rest of the Impl lives: a +batching
-    // engine flushes as it is destroyed, and a wait that flush reaches
-    // fires into settle().
-    table = {};
     for (const int fd : {journal_fd, wake_fd, epoll_fd}) {
       if (fd >= 0) ::close(fd);
     }
@@ -411,7 +404,7 @@ struct CounterServer::Impl {
     }
     const std::size_t i = table.append(name, tag);
     if (extra.engine) table.add_extra(i, std::move(extra));
-    s_counters.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::counters_open);
     return i;
   }
 
@@ -473,9 +466,7 @@ struct CounterServer::Impl {
   }
 
   /// True when `amount` would carry the value out of range; the default
-  /// spec's max_value() bounds a counter without an engine.  The table
-  /// value counts what a +batching engine buffers, so no later flush of
-  /// that buffer can overflow the engine.
+  /// spec's max_value() bounds a counter without an engine.
   bool overflows(std::size_t i, counter_value_t amount) {
     const Extra* extra = table.extra(i);
     const counter_value_t max = extra ? extra->engine->max_value() : inline_max;
@@ -524,7 +515,7 @@ struct CounterServer::Impl {
     std::unordered_map<std::uint64_t, std::size_t> id_map;  // old id → index
     const bool have_snap = load_snapshot(opts.state_file, snap);
     if (have_snap) {
-      epoch.store(snap.epoch + 1, std::memory_order_relaxed);
+      stats.set(ServerStat::epoch, snap.epoch + 1);
       generation = snap.generation;
       for (const CounterRecord& rec : snap.counters) {
         const std::size_t i = find_or_create(rec.name, rec.spec);
@@ -568,8 +559,8 @@ struct CounterServer::Impl {
         }
       }
     }
-    s_restored.store(s_counters.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
+    stats.set(ServerStat::restored_counters,
+              stats.get(ServerStat::counters_open));
     // Compact: everything just replayed becomes the new snapshot; the
     // journal restarts empty under generation+1 (the old journal can
     // no longer be double-applied).
@@ -591,7 +582,7 @@ struct CounterServer::Impl {
   void journal_append(std::string body) {
     if (!persist()) return;
     append_journal_record(journal_pending, body);
-    s_journal_records.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::journal_records);
   }
 
   void commit_journal() {
@@ -610,7 +601,7 @@ struct CounterServer::Impl {
       }
     }
     journal_since_rotate += journal_pending.size();
-    s_journal_bytes.store(journal_since_rotate, std::memory_order_relaxed);
+    stats.set(ServerStat::journal_bytes, journal_since_rotate);
     journal_pending.clear();
   }
 
@@ -620,7 +611,7 @@ struct CounterServer::Impl {
   void write_snapshot() {
     if (!persist()) return;
     StateSnapshot snap;
-    snap.epoch = epoch.load(std::memory_order_relaxed);
+    snap.epoch = stats.get(ServerStat::epoch);
     snap.generation = generation + 1;
     snap.dedup_window = DedupWindow(opts.dedup_window).window();
     for (std::size_t i = 0; i < table.size(); ++i) {
@@ -652,7 +643,7 @@ struct CounterServer::Impl {
     ++generation;
     journal_pending.clear();
     rotate_journal();
-    s_snapshots.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::snapshots_written);
   }
 
   void rotate_journal() {
@@ -666,7 +657,7 @@ struct CounterServer::Impl {
       journal_write_failed = false;
     }
     journal_since_rotate = 0;
-    s_journal_bytes.store(0, std::memory_order_relaxed);
+    stats.set(ServerStat::journal_bytes, 0);
   }
 
   // ---- sessions ---------------------------------------------------
@@ -678,7 +669,7 @@ struct CounterServer::Impl {
       if (sessions.size() >= opts.max_sessions) evict_lru_session();
       it = sessions.emplace(key, Session{DedupWindow(opts.dedup_window), 0})
                .first;
-      s_sessions.store(sessions.size(), std::memory_order_relaxed);
+      stats.set(ServerStat::sessions_open, sessions.size());
     }
     it->second.last_used = ++lru_clock;
     return it->second;
@@ -690,7 +681,7 @@ struct CounterServer::Impl {
       if (it->second.last_used < victim->second.last_used) victim = it;
     }
     if (victim != sessions.end()) sessions.erase(victim);
-    s_sessions.store(sessions.size(), std::memory_order_relaxed);
+    stats.set(ServerStat::sessions_open, sessions.size());
   }
 
   void bind_uds() {
@@ -832,8 +823,8 @@ struct CounterServer::Impl {
   /// frees capacity after the tick's retry_gated(), and no event wakes
   /// the loop for it.
   bool gated_admissible() const {
-    return s_gated.load(std::memory_order_relaxed) != 0 &&
-           s_parked.load(std::memory_order_relaxed) < opts.max_parked_waits;
+    return stats.get(ServerStat::gated_connections) != 0 &&
+           stats.get(ServerStat::parked_waits) < opts.max_parked_waits;
   }
 
   /// The tick's epoll_wait.  When nothing is ready, it polls for up to
@@ -859,12 +850,13 @@ struct CounterServer::Impl {
         n = ::epoll_wait(epoll_fd, events, max, 0);
         now = clock::now();
       }
-      s_spin_ns.fetch_add(static_cast<std::uint64_t>(
-                              std::chrono::nanoseconds(now - begin).count()),
-                          std::memory_order_relaxed);
+      spin_ns_carry += static_cast<std::uint64_t>(
+          std::chrono::nanoseconds(now - begin).count());
+      stats.add(ServerStat::loop_spin_us, spin_ns_carry / 1000);
+      spin_ns_carry %= 1000;
     }
     if (n == 0 && !must_not_block()) {
-      s_parks.fetch_add(1, std::memory_order_relaxed);
+      stats.add(ServerStat::loop_parks);
       n = ::epoll_wait(epoll_fd, events, max, wait_timeout_ms());
     }
     last_wait = clock::now() - begin;
@@ -891,7 +883,7 @@ struct CounterServer::Impl {
       for (const auto& reg : conn.waits) {
         if (settle(*reg) == nullptr) continue;
         respond(conn, Status::kShuttingDown, reg->req_id);
-        s_shutdown_replies.fetch_add(1, std::memory_order_relaxed);
+        stats.add(ServerStat::shutdown_replies);
       }
       // Frames deferred under backpressure get the same answer: their
       // req_id is at a fixed offset in the deferred payload.
@@ -903,12 +895,12 @@ struct CounterServer::Impl {
         std::uint64_t req_id = 0;
         if (r.get_u8(op) && r.get_u64(req_id)) {
           respond(conn, Status::kShuttingDown, req_id);
-          s_shutdown_replies.fetch_add(1, std::memory_order_relaxed);
+          stats.add(ServerStat::shutdown_replies);
         }
       }
       if (conn.gated) {
         conn.gated = false;
-        s_gated.fetch_sub(1, std::memory_order_relaxed);
+        stats.sub(ServerStat::gated_connections);
       }
     }
 
@@ -961,8 +953,8 @@ struct CounterServer::Impl {
       conn.fd = fd;
       conn.gen = ++next_gen_;
       conns.emplace(fd, std::move(conn));
-      s_accepted.fetch_add(1, std::memory_order_relaxed);
-      s_conns.fetch_add(1, std::memory_order_relaxed);
+      stats.add(ServerStat::connections_accepted);
+      stats.add(ServerStat::connections_open);
     }
   }
   std::uint64_t next_gen_ = 0;
@@ -996,8 +988,7 @@ struct CounterServer::Impl {
     for (;;) {
       const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
       if (n > 0) {
-        s_bytes_in.fetch_add(static_cast<std::uint64_t>(n),
-                             std::memory_order_relaxed);
+        stats.add(ServerStat::bytes_in, static_cast<std::uint64_t>(n));
         conn.rbuf.append(buf, static_cast<std::size_t>(n));
         if (n < static_cast<ssize_t>(sizeof(buf))) break;
         continue;
@@ -1028,7 +1019,7 @@ struct CounterServer::Impl {
       // connection.  The reply still flushes: the tick's flush_writes
       // runs before reap_dead closes the fd.
       if (len < 9 || len > kMaxFramePayload) {
-        s_proto_errors.fetch_add(1, std::memory_order_relaxed);
+        stats.add(ServerStat::protocol_errors);
         respond_message(
             conn, Status::kBadRequest, 0,
             "unframeable length " + std::to_string(len) + " (frames carry " +
@@ -1054,12 +1045,12 @@ struct CounterServer::Impl {
   void respond(Connection& conn, Status status, std::uint64_t req_id,
                std::string_view body = {}) {
     conn.wbuf += make_frame(static_cast<std::uint8_t>(status), req_id, body);
-    s_responses.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::responses);
     // A consumer that stops reading does not get to grow wbuf without
     // bound: past the cap the connection is dropped, not the server.
     if (opts.max_outbound_bytes != 0 &&
         conn.wbuf.size() - conn.woff > opts.max_outbound_bytes && !conn.dead) {
-      s_slow_consumer.fetch_add(1, std::memory_order_relaxed);
+      stats.add(ServerStat::slow_consumer_disconnects);
       conn.dead = true;
     }
   }
@@ -1074,7 +1065,7 @@ struct CounterServer::Impl {
   // ---- request dispatch -------------------------------------------
 
   void dispatch(Connection& conn, std::string_view payload) {
-    s_requests.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::requests);
     Reader r(payload);
     std::uint8_t op = 0;
     std::uint64_t req_id = 0;
@@ -1103,7 +1094,7 @@ struct CounterServer::Impl {
 
   void bad_request(Connection& conn, std::uint64_t req_id,
                    std::string_view what) {
-    s_proto_errors.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::protocol_errors);
     respond_message(conn, Status::kBadRequest, req_id, what);
   }
 
@@ -1131,9 +1122,9 @@ struct CounterServer::Impl {
       // Fresh create (reopen returns the same id, spec ignored —
       // names are the identity).
       if ((opts.max_counters != 0 &&
-           s_counters.load(std::memory_order_relaxed) >= opts.max_counters) ||
+           stats.get(ServerStat::counters_open) >= opts.max_counters) ||
           !table.fits(name)) {
-        s_rejections.fetch_add(1, std::memory_order_relaxed);
+        stats.add(ServerStat::overload_rejections);
         return respond_message(conn, Status::kOverloaded, req_id,
                                "counter limit reached");
       }
@@ -1165,7 +1156,7 @@ struct CounterServer::Impl {
     std::uint64_t window = 0;
     if (conn.has_session) window = touch_session(hi, lo).window.window();
     std::string body;
-    put_u64(body, epoch.load(std::memory_order_relaxed));
+    put_u64(body, stats.get(ServerStat::epoch));
     put_u64(body, window);
     respond(conn, Status::kOk, req_id, body);
   }
@@ -1230,7 +1221,7 @@ struct CounterServer::Impl {
       if (session.window.seen(seq)) {
         // A retry of an increment that already landed: ack as if it
         // just succeeded — at-least-once delivery, exactly-once apply.
-        s_dedup.fetch_add(1, std::memory_order_relaxed);
+        stats.add(ServerStat::dedup_hits);
         if (ack) respond(conn, Status::kOk, req_id);
         return;
       }
@@ -1277,10 +1268,10 @@ struct CounterServer::Impl {
     // Admission control over parked waits: the engine's overload
     // policies mapped onto connections (see server.hpp).
     if (opts.max_parked_waits != 0 &&
-        s_parked.load(std::memory_order_relaxed) >= opts.max_parked_waits) {
+        stats.get(ServerStat::parked_waits) >= opts.max_parked_waits) {
       switch (opts.overload_policy) {
         case OverloadPolicy::kThrow:
-          s_rejections.fetch_add(1, std::memory_order_relaxed);
+          stats.add(ServerStat::overload_rejections);
           return respond_message(
               conn, Status::kOverloaded, req_id,
               "wait admission: " + std::to_string(opts.max_parked_waits) +
@@ -1294,7 +1285,7 @@ struct CounterServer::Impl {
           // loop then, and retry_gated answers it.
           if (!conn.gated) {
             conn.gated = true;
-            s_gated.fetch_add(1, std::memory_order_relaxed);
+            stats.add(ServerStat::gated_connections);
           }
           const auto until = deadline.value_or(DeferredWait::kUntimed);
           conn.gated_frames.push_back({std::string(payload), until});
@@ -1305,7 +1296,7 @@ struct CounterServer::Impl {
     }
 
     auto reg = make_reg(conn, req_id, i, level);
-    s_parked.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServerStat::parked_waits);
     if (timed) timers.push(Timer{*deadline, reg});
     // Parked connection: the engine holds the registration and fires
     // it on this thread, inside the add() or poison() that reaches the
@@ -1333,7 +1324,7 @@ struct CounterServer::Impl {
   /// the wait was already settled or its connection is gone.
   Connection* settle(WaitReg& reg) {
     if (std::exchange(reg.settled, true)) return nullptr;
-    s_parked.fetch_sub(1, std::memory_order_relaxed);
+    stats.sub(ServerStat::parked_waits);
     auto it = conns.find(reg.fd);
     return it != conns.end() && it->second.gen == reg.gen ? &it->second
                                                           : nullptr;
@@ -1373,71 +1364,32 @@ struct CounterServer::Impl {
     respond(conn, Status::kOk, req_id);
   }
 
+  /// Stats(0) sends every server statistic; Stats(id) sends the
+  /// counter's value, every engine statistic and its poisoned flag.
+  /// Each pair is a str16 key and a u64 value, after a u32 count.
   void do_stats(Connection& conn, std::uint64_t req_id, Reader& r) {
     std::uint64_t id = 0;
     if (!r.get_u64(id)) return bad_request(conn, req_id, "Stats: want id");
+    std::string pairs;
+    std::uint32_t count = 0;
+    const auto put = [&](std::string_view key, std::uint64_t value) {
+      put_str16(pairs, key);
+      put_u64(pairs, value);
+      ++count;
+    };
     if (id == 0) {
-      const ServerStats s = snapshot();
-      return respond_pairs(conn, req_id,
-                           {
-                               {"connections_accepted", s.connections_accepted},
-                               {"connections_open", s.connections_open},
-                               {"counters_open", s.counters_open},
-                               {"requests", s.requests},
-                               {"responses", s.responses},
-                               {"parked_waits", s.parked_waits},
-                               {"gated_connections", s.gated_connections},
-                               {"overload_rejections", s.overload_rejections},
-                               {"protocol_errors", s.protocol_errors},
-                               {"bytes_in", s.bytes_in},
-                               {"bytes_out", s.bytes_out},
-                               {"epoch", s.epoch},
-                               {"restored_counters", s.restored_counters},
-                               {"snapshots_written", s.snapshots_written},
-                               {"journal_records", s.journal_records},
-                               {"journal_bytes", s.journal_bytes},
-                               {"sessions_open", s.sessions_open},
-                               {"dedup_hits", s.dedup_hits},
-                               {"slow_consumer_disconnects",
-                                s.slow_consumer_disconnects},
-                               {"shutdown_replies", s.shutdown_replies},
-                               {"loop_parks", s.loop_parks},
-                               {"loop_spin_us", s.loop_spin_us},
-                           });
+      for_each_stat(stats.snapshot(), put);
+    } else {
+      const std::size_t i = table.index(id);
+      if (i == kNone) return unknown_counter(conn, req_id, id);
+      const AnyCounter& counter = *built(i).engine;
+      put("value", counter.value_lower_bound());
+      for_each_stat(counter.stats(), put);
+      put("poisoned", counter.poisoned() ? 1 : 0);
     }
-    const std::size_t i = table.index(id);
-    if (i == kNone) return unknown_counter(conn, req_id, id);
-    const AnyCounter& counter = *built(i).engine;
-    const CounterStatsSnapshot snap = counter.stats();
-    respond_pairs(conn, req_id,
-                  {
-                      {"value", counter.value_lower_bound()},
-                      {"increments", snap.increments},
-                      {"checks", snap.checks},
-                      {"suspensions", snap.suspensions},
-                      {"wakeups", snap.wakeups},
-                      {"live_nodes", snap.live_nodes},
-                      {"max_live_nodes", snap.max_live_nodes},
-                      {"max_live_waiters", snap.max_live_waiters},
-                      {"poisons", snap.poisons},
-                      {"dropped_increments", snap.dropped_increments},
-                      {"overload_rejections", snap.overload_rejections},
-                      {"async_completions", snap.async_completions},
-                      {"stripe_count", snap.stripe_count},
-                      {"poisoned", counter.poisoned() ? 1u : 0u},
-                  });
-  }
-
-  void respond_pairs(
-      Connection& conn, std::uint64_t req_id,
-      const std::vector<std::pair<std::string_view, std::uint64_t>>& pairs) {
     std::string body;
-    put_u32(body, static_cast<std::uint32_t>(pairs.size()));
-    for (const auto& [key, value] : pairs) {
-      put_str16(body, key);
-      put_u64(body, value);
-    }
-    respond(conn, Status::kOk, req_id, body);
+    put_u32(body, count);
+    respond(conn, Status::kOk, req_id, body + pairs);
   }
 
   // ---- tick work --------------------------------------------------
@@ -1461,21 +1413,21 @@ struct CounterServer::Impl {
   /// deadline passes, re-dispatch deferred frames and resume reading
   /// the gated connections.
   void retry_gated() {
-    if (s_gated.load(std::memory_order_relaxed) == 0) return;
+    if (stats.get(ServerStat::gated_connections) == 0) return;
     const auto now = std::chrono::steady_clock::now();
     for (auto& [fd, conn] : conns) {
       if (!conn.gated) continue;
       while (!conn.gated_frames.empty()) {
         if (conn.gated_frames.front().deadline > now &&
             opts.max_parked_waits != 0 &&
-            s_parked.load(std::memory_order_relaxed) >=
+            stats.get(ServerStat::parked_waits) >=
                 opts.max_parked_waits) {
           break;  // still over capacity; stay gated
         }
         const DeferredWait d = std::move(conn.gated_frames.front());
         conn.gated_frames.pop_front();
         conn.gated = false;  // do_wait may re-gate (and re-defer)
-        s_gated.fetch_sub(1, std::memory_order_relaxed);
+        stats.sub(ServerStat::gated_connections);
         // Past its deadline, do_wait answers kReached or kTimedOut.
         Reader r(d.frame);
         std::uint8_t op = 0;
@@ -1501,8 +1453,7 @@ struct CounterServer::Impl {
                                  conn.wbuf.size() - conn.woff, MSG_NOSIGNAL);
         if (n > 0) {
           conn.woff += static_cast<std::size_t>(n);
-          s_bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
+          stats.add(ServerStat::bytes_out, static_cast<std::uint64_t>(n));
           continue;
         }
         if (n < 0 && errno == EINTR) continue;  // signal landed mid-write
@@ -1542,40 +1493,12 @@ struct CounterServer::Impl {
         continue;
       }
       for (const auto& reg : conn.waits) settle(*reg);
-      if (conn.gated) s_gated.fetch_sub(1, std::memory_order_relaxed);
+      if (conn.gated) stats.sub(ServerStat::gated_connections);
       unwatch_and_close(conn.fd);
-      s_conns.fetch_sub(1, std::memory_order_relaxed);
+      stats.sub(ServerStat::connections_open);
       it = conns.erase(it);
       resume_accept();  // a freed fd may take a pending connection
     }
-  }
-
-  ServerStats snapshot() const {
-    ServerStats s;
-    s.connections_accepted = s_accepted.load(std::memory_order_relaxed);
-    s.connections_open = s_conns.load(std::memory_order_relaxed);
-    s.counters_open = s_counters.load(std::memory_order_relaxed);
-    s.requests = s_requests.load(std::memory_order_relaxed);
-    s.responses = s_responses.load(std::memory_order_relaxed);
-    s.parked_waits = s_parked.load(std::memory_order_relaxed);
-    s.gated_connections = s_gated.load(std::memory_order_relaxed);
-    s.overload_rejections = s_rejections.load(std::memory_order_relaxed);
-    s.protocol_errors = s_proto_errors.load(std::memory_order_relaxed);
-    s.bytes_in = s_bytes_in.load(std::memory_order_relaxed);
-    s.bytes_out = s_bytes_out.load(std::memory_order_relaxed);
-    s.epoch = epoch.load(std::memory_order_relaxed);
-    s.restored_counters = s_restored.load(std::memory_order_relaxed);
-    s.snapshots_written = s_snapshots.load(std::memory_order_relaxed);
-    s.journal_records = s_journal_records.load(std::memory_order_relaxed);
-    s.journal_bytes = s_journal_bytes.load(std::memory_order_relaxed);
-    s.sessions_open = s_sessions.load(std::memory_order_relaxed);
-    s.dedup_hits = s_dedup.load(std::memory_order_relaxed);
-    s.slow_consumer_disconnects =
-        s_slow_consumer.load(std::memory_order_relaxed);
-    s.shutdown_replies = s_shutdown_replies.load(std::memory_order_relaxed);
-    s.loop_parks = s_parks.load(std::memory_order_relaxed);
-    s.loop_spin_us = s_spin_ns.load(std::memory_order_relaxed) / 1000;
-    return s;
   }
 };
 
@@ -1604,13 +1527,13 @@ bool CounterServer::drained() const noexcept {
 }
 
 std::uint64_t CounterServer::epoch() const noexcept {
-  return impl_->epoch.load(std::memory_order_relaxed);
+  return impl_->stats.get(ServerStat::epoch);
 }
 
 std::uint16_t CounterServer::tcp_port() const noexcept {
   return impl_->bound_tcp_port;
 }
 
-ServerStats CounterServer::stats() const { return impl_->snapshot(); }
+ServerStats CounterServer::stats() const { return impl_->stats.snapshot(); }
 
 }  // namespace monotonic::server

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "monotonic/core/wait_list.hpp"  // OverloadPolicy
+#include "monotonic/support/stat_block.hpp"
 
 namespace monotonic::server {
 
@@ -130,32 +131,37 @@ struct ServerOptions {
   bool drain_on_sigterm = false;
 };
 
-/// Server-wide gauges and counters, surfaced by the Stats op with
-/// counter_id 0 (each field a self-describing key/value pair on the
-/// wire) and by stats() in-process.
+/// Server-wide statistics, declared once (support/stat_block.hpp):
+/// X(name, kind, arg).  The Stats op with counter_id 0 sends each as a
+/// self-describing key/value pair in this order; stats() returns the
+/// same values in-process.
+#define MONOTONIC_SERVER_STATS(X)                                             \
+  X(connections_accepted, kTotal, 0)                                          \
+  X(connections_open, kLevel, 0)                                              \
+  X(counters_open, kLevel, 0)                                                 \
+  X(requests, kTotal, 0)                                                      \
+  X(responses, kTotal, 0)                                                     \
+  X(parked_waits, kLevel, 0)      /* live parked Check/OnReach waits */       \
+  X(gated_connections, kLevel, 0) /* connections under backpressure */        \
+  X(overload_rejections, kTotal, 0)                                           \
+  X(protocol_errors, kTotal, 0)   /* bad frames answered or dropped */        \
+  X(bytes_in, kTotal, 0)                                                      \
+  X(bytes_out, kTotal, 0)                                                     \
+  X(epoch, kConfig, 1)            /* bumped on every restore */               \
+  X(restored_counters, kConfig, 0) /* counters revived at Start */            \
+  X(snapshots_written, kTotal, 0)                                             \
+  X(journal_records, kTotal, 0)                                               \
+  X(journal_bytes, kLevel, 0)     /* since the last snapshot */               \
+  X(sessions_open, kLevel, 0)     /* tracked Hello sessions */                \
+  X(dedup_hits, kTotal, 0)        /* retried increments absorbed */           \
+  X(slow_consumer_disconnects, kTotal, 0)                                     \
+  X(shutdown_replies, kTotal, 0)  /* waits answered kShuttingDown */          \
+  X(loop_parks, kTotal, 0)        /* event-loop waits that blocked */         \
+  X(loop_spin_us, kTotal, 0)      /* event-loop time spun polling */
+
+/// Plain-value snapshot of the server-wide statistics.
 struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_open = 0;
-  std::uint64_t counters_open = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t parked_waits = 0;       ///< live parked Check/OnReach waits
-  std::uint64_t gated_connections = 0;  ///< connections under backpressure
-  std::uint64_t overload_rejections = 0;
-  std::uint64_t protocol_errors = 0;    ///< bad frames answered or dropped
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t epoch = 0;              ///< bumped on every restore
-  std::uint64_t restored_counters = 0;  ///< counters revived at Start
-  std::uint64_t snapshots_written = 0;
-  std::uint64_t journal_records = 0;
-  std::uint64_t journal_bytes = 0;      ///< since the last snapshot
-  std::uint64_t sessions_open = 0;      ///< tracked Hello sessions
-  std::uint64_t dedup_hits = 0;         ///< retried increments absorbed
-  std::uint64_t slow_consumer_disconnects = 0;
-  std::uint64_t shutdown_replies = 0;   ///< waits answered kShuttingDown
-  std::uint64_t loop_parks = 0;         ///< event-loop waits that blocked
-  std::uint64_t loop_spin_us = 0;       ///< event-loop time spun polling
+  MONOTONIC_SERVER_STATS(MONOTONIC_STAT_FIELD)
 };
 
 /// The event-loop server.  Construct, Start(), connect clients
@@ -205,3 +211,7 @@ class CounterServer {
 };
 
 }  // namespace monotonic::server
+
+namespace monotonic {
+MONOTONIC_STAT_LIST(server::ServerStats, MONOTONIC_SERVER_STATS);
+}  // namespace monotonic

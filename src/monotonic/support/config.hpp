@@ -21,14 +21,6 @@ struct Version {
 /// against.
 constexpr Version version() noexcept { return Version{1, 0, 0}; }
 
-/// When nonzero, counters and barriers maintain structural statistics
-/// (wakeups, broadcasts, live wait-node high-water marks).  The counters
-/// are plain relaxed atomics, cheap enough to leave on; benches rely on
-/// them to reproduce the paper's structural claims (DESIGN.md E5/E6/E9).
-#ifndef MONOTONIC_ENABLE_STATS
-#define MONOTONIC_ENABLE_STATS 1
-#endif
-
 /// Counter values are unsigned 64-bit throughout.  The paper uses
 /// `unsigned int`; we widen it so overflow is a non-issue for any
 /// realistic program (2^64 increments of 1 at 1ns each is ~580 years).

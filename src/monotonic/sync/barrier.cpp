@@ -14,35 +14,23 @@ void CentralBarrier::Pass() {
   if (++arrived_ == parties_) {
     arrived_ = 0;
     sense_ = !sense_;
-#if MONOTONIC_ENABLE_STATS
     ++rounds_;
-#endif
     lock.unlock();
     cv_.notify_all();
     return;
   }
-#if MONOTONIC_ENABLE_STATS
   ++suspensions_;
-#endif
   cv_.wait(lock, [&] { return sense_ != my_sense; });
 }
 
 std::uint64_t CentralBarrier::stat_rounds() const {
-#if MONOTONIC_ENABLE_STATS
   std::scoped_lock lock(m_);
   return rounds_;
-#else
-  return 0;
-#endif
 }
 
 std::uint64_t CentralBarrier::stat_suspensions() const {
-#if MONOTONIC_ENABLE_STATS
   std::scoped_lock lock(m_);
   return suspensions_;
-#else
-  return 0;
-#endif
 }
 
 AtomicBarrier::AtomicBarrier(std::size_t parties) : parties_(parties) {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "monotonic/support/cache.hpp"
-#include "monotonic/support/config.hpp"
 #include "monotonic/support/spin_wait.hpp"
 
 namespace monotonic {
@@ -53,10 +52,8 @@ class CentralBarrier {
   std::condition_variable cv_;
   std::size_t arrived_ = 0;
   bool sense_ = false;  // flips each round
-#if MONOTONIC_ENABLE_STATS
   std::uint64_t rounds_ = 0;
   std::uint64_t suspensions_ = 0;
-#endif
 };
 
 /// Sense-reversing barrier on atomics with adaptive spin.  Suitable when

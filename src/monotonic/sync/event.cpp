@@ -14,9 +14,7 @@ void Condition::Set() {
 void Condition::Check() {
   std::unique_lock lock(m_);
   if (set_) return;
-#if MONOTONIC_ENABLE_STATS
   ++suspensions_;
-#endif
   cv_.wait(lock, [this] { return set_; });
 }
 
@@ -26,12 +24,8 @@ bool Condition::debug_is_set() const {
 }
 
 std::uint64_t Condition::stat_suspensions() const noexcept {
-#if MONOTONIC_ENABLE_STATS
   std::scoped_lock lock(m_);
   return suspensions_;
-#else
-  return 0;
-#endif
 }
 
 }  // namespace monotonic

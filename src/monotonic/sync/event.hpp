@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <mutex>
 
-#include "monotonic/support/config.hpp"
-
 namespace monotonic {
 
 /// One-shot event.  Initially unset.  Set() is idempotent; Check()
@@ -43,9 +41,7 @@ class Condition {
   mutable std::mutex m_;
   std::condition_variable cv_;
   bool set_ = false;
-#if MONOTONIC_ENABLE_STATS
   std::uint64_t suspensions_ = 0;  // guarded by m_
-#endif
 };
 
 }  // namespace monotonic

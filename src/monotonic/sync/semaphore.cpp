@@ -4,9 +4,7 @@ namespace monotonic {
 
 void Semaphore::acquire(std::uint64_t n) {
   std::unique_lock lock(m_);
-#if MONOTONIC_ENABLE_STATS
   if (permits_ < n) ++suspensions_;
-#endif
   cv_.wait(lock, [&] { return permits_ >= n; });
   permits_ -= n;
 }
@@ -35,12 +33,8 @@ std::uint64_t Semaphore::debug_permits() const {
 }
 
 std::uint64_t Semaphore::stat_suspensions() const {
-#if MONOTONIC_ENABLE_STATS
   std::scoped_lock lock(m_);
   return suspensions_;
-#else
-  return 0;
-#endif
 }
 
 }  // namespace monotonic

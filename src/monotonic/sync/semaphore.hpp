@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <mutex>
 
-#include "monotonic/support/config.hpp"
-
 namespace monotonic {
 
 /// Counting semaphore with P/V and n-ary acquire/release.
@@ -41,9 +39,7 @@ class Semaphore {
   mutable std::mutex m_;
   std::condition_variable cv_;
   std::uint64_t permits_;
-#if MONOTONIC_ENABLE_STATS
   std::uint64_t suspensions_ = 0;  // guarded by m_
-#endif
 };
 
 }  // namespace monotonic

@@ -290,6 +290,18 @@ TEST(SpecHosted, HostExecutorReplacesTheSpecsPool) {
   EXPECT_TRUE(fired.load());
 }
 
+TEST(SpecHosted, HostDropsTheBatchingLayer) {
+  // The host is the counter's only incrementer: each Increment must
+  // release the levels it reaches, so no batch may buffer it.
+  auto c = make_counter("hybrid+batching,batch=1000+traced",
+                        std::make_shared<InlineExecutor>());
+  EXPECT_EQ(c->spec(), "hybrid+traced");
+  bool fired = false;
+  c->OnReach(5, [&] { fired = true; });
+  c->Increment(5);
+  EXPECT_TRUE(fired);
+}
+
 TEST(SpecHosted, SharedSpecIsRefused) {
   const std::string name = "/mc-spec-hosted-" + std::to_string(::getpid());
   SharedCounter::Unlink(name);
@@ -359,9 +371,7 @@ TEST(SpecBehavior, HeapPlaneSpecsExposeWaitShardMetadata) {
   while (heap->stats().live_nodes == 0) std::this_thread::yield();
   heap->Increment(2);
   waiter.join();
-#if MONOTONIC_ENABLE_STATS
   EXPECT_GE(heap->stats().index_depth, 1u);
-#endif
 
   auto list = make_counter("hybrid");
   EXPECT_EQ(list->stats().wait_shard_count, 1u);

@@ -548,7 +548,7 @@ TEST(CounterStructure, NodePoolReusesNodes) {
   }
   auto s = c.stats();
   EXPECT_EQ(s.nodes_allocated, 5u);
-  EXPECT_GE(s.nodes_pooled, 4u) << "later rounds should reuse pooled nodes";
+  EXPECT_GE(s.pool_hits, 4u) << "later rounds should reuse pooled nodes";
   EXPECT_EQ(s.live_nodes, 0u);
 }
 
@@ -566,7 +566,25 @@ TEST(CounterStructure, NoPoolOptionAllocatesFresh) {
   }
   auto s = c.stats();
   EXPECT_EQ(s.nodes_allocated, 3u);
-  EXPECT_EQ(s.nodes_pooled, 0u);
+  EXPECT_EQ(s.pool_hits, 0u);
+}
+
+TEST(CounterStructure, StatsResetKeepsLevelsAndConfiguration) {
+  CounterStats stats;
+  stats.set_stripe_count(4);
+  stats.on_node_allocated(false);
+  stats.on_node_allocated(true);
+  stats.on_node_freed();  // one node still live; the peak was two
+  stats.on_index_depth(3);
+  stats.reset();
+  const CounterStatsSnapshot s = stats.snapshot();
+  EXPECT_EQ(s.nodes_allocated, 0u);
+  EXPECT_EQ(s.pool_hits, 0u);
+  EXPECT_EQ(s.live_nodes, 1u);
+  EXPECT_EQ(s.max_live_nodes, 1u);  // lowered to its level
+  EXPECT_EQ(s.index_depth, 0u);     // a peak with no level: zeroed
+  EXPECT_EQ(s.stripe_count, 4u);
+  EXPECT_EQ(s.wait_shard_count, 1u);
 }
 
 TEST(CounterReset, ResetWithWaitersIsAnError) {

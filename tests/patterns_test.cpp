@@ -84,6 +84,21 @@ TEST(RaggedBarrierTest, WorksWithAnyCounterImplementation) {
   barrier.wait_for(0, 1);
 }
 
+TEST(RaggedBarrierTest, AggregateStatsMergesEveryStatistic) {
+  RaggedBarrier<> barrier(3);
+  barrier.arrive(0);
+  EXPECT_FALSE(barrier.counter(1).CheckFor(1, std::chrono::milliseconds(1)));
+  barrier.counter(2).Poison("party 2 failed");
+  const CounterStatsSnapshot total = barrier.aggregate_stats();
+  EXPECT_EQ(total.increments, 1u);
+  EXPECT_EQ(total.suspensions, 1u);
+  EXPECT_EQ(total.timed_out_checks, 1u);
+  EXPECT_EQ(total.poisons, 1u);
+  EXPECT_EQ(total.max_live_waiters, 1u);  // a peak: max over parties
+  // Configuration: the max over parties, not their sum.
+  EXPECT_EQ(total.stripe_count, barrier.counter(0).stats().stripe_count);
+}
+
 // ------------------------------------------------------------ sequencer
 
 TEST(SequencerTest, SectionsRunInIndexOrder) {

@@ -364,9 +364,9 @@ TEST(Recovery, RejectedOverflowNeverReachesTheJournal) {
 }
 
 TEST(Recovery, BatchingSpecBufferedIncrementsReachTheSnapshot) {
-  // Acked increments a +batching engine still buffers are part of the
-  // value: the compacting snapshot at Start and the drain's snapshot
-  // both record them.
+  // A +batching spec (the server builds no batching layer) keeps every
+  // acked increment: the compacting snapshot at Start and the drain's
+  // snapshot both record them, and the spec still restores.
   ms::ServerOptions o;
   o.uds_path = unique_path("batching.sock");
   o.state_file = unique_path("batching.state");

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "monotonic/core/counter_error.hpp"
+#include "monotonic/core/counter_stats.hpp"
 #include "monotonic/server/client.hpp"
 #include "monotonic/server/protocol.hpp"
 #include "monotonic/server/server.hpp"
@@ -481,15 +482,22 @@ TEST(ServerParking, SettledWaitsAreNotRetained) {
   EXPECT_LT(after > before ? after - before : 0, std::size_t{2} << 20);
 }
 
-TEST(ServerParking, WaitReachedByTeardownFlushIsSafe) {
+TEST(ServerParking, BatchingSpecWaitAnswersOnTheIncrementThatReachesIt) {
+  // Paper §7: an Increment releases every level it reaches.  The server
+  // builds no +batching layer, so no buffered amount holds a parked
+  // wait back after another connection's Check already sees the level.
   ServerFixture fx;
-  ms::ServerClient c = fx.connect();
-  const auto opened = c.open("batched-wait", "hybrid+batching,batch=100");
-  c.on_reach_async(opened.id, 5);
-  c.increment(opened.id, 5);  // buffered by the decorator: no fire yet
-  EXPECT_EQ(fx.server().stats().parked_waits, 1u);
-  // Destroying the server destroys the engine, whose batching layer
-  // flushes the 5 and fires the parked wait inline.
+  ms::ServerClient waiter = fx.connect();
+  ms::ServerClient producer = fx.connect();
+  const auto opened = waiter.open("batched-wait", "hybrid+batching,batch=1000");
+  const std::uint64_t rid = waiter.on_reach_async(opened.id, 5);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().parked_waits == 1; }));
+  for (int i = 0; i < 5; ++i) producer.increment(opened.id, 1);
+  // Acked: the fifth increment's dispatch fired the wait before its ack.
+  ASSERT_EQ(fx.server().stats().parked_waits, 0u);
+  EXPECT_EQ(producer.check(opened.id, 5), 5u);
+  EXPECT_EQ(waiter.await_reach(rid), 5u);
 }
 
 TEST(ServerParking, IncrementReleasesItsOwnConnectionsWait) {
@@ -637,6 +645,72 @@ TEST(ServerDeferredEngine, PerCounterStatsKeepsTheValue) {
   c.increment(opened.id, 3);
   EXPECT_EQ(c.resolve("deferred/stats").value, 10u);
   EXPECT_EQ(c.stats(opened.id).at("value"), 10u);
+}
+
+TEST(ServerStatsOp, ServerWideKeysMatchInProcessStats) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("stats/wide");
+  c.increment(opened.id, 4);
+  const std::uint64_t rid = c.on_reach_async(opened.id, 9);
+  ASSERT_TRUE(eventually(
+      [&] { return fx.server().stats().parked_waits == 1; }));
+  // The wire contract: these 22 keys, whatever their order.
+  const std::vector<std::string> keys = {
+      "connections_accepted", "connections_open", "counters_open",
+      "requests", "responses", "parked_waits", "gated_connections",
+      "overload_rejections", "protocol_errors", "bytes_in", "bytes_out",
+      "epoch", "restored_counters", "snapshots_written", "journal_records",
+      "journal_bytes", "sessions_open", "dedup_hits",
+      "slow_consumer_disconnects", "shutdown_replies", "loop_parks",
+      "loop_spin_us"};
+  // Quiescent but for the Stats request itself, which can only raise a
+  // value between the two in-process reads that bracket it.
+  const ms::ServerStats before = fx.server().stats();
+  const auto wire = c.stats(0);
+  const ms::ServerStats after = fx.server().stats();
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> local;
+  monotonic::for_each_stat(before, [&](std::string_view k, std::uint64_t v) {
+    local[std::string(k)].first = v;
+  });
+  monotonic::for_each_stat(after, [&](std::string_view k, std::uint64_t v) {
+    local[std::string(k)].second = v;
+  });
+  ASSERT_EQ(wire.size(), keys.size());
+  ASSERT_EQ(local.size(), keys.size());
+  for (const auto& key : keys) {
+    ASSERT_EQ(wire.count(key), 1u) << key;
+    ASSERT_EQ(local.count(key), 1u) << key;
+    const auto [lo, hi] = local.at(key);
+    EXPECT_LE(lo, wire.at(key)) << key;
+    EXPECT_LE(wire.at(key), hi) << key;
+  }
+  EXPECT_EQ(wire.at("parked_waits"), 1u);
+  EXPECT_EQ(wire.at("connections_open"), 1u);
+  EXPECT_EQ(wire.at("epoch"), fx.server().epoch());
+  c.increment(opened.id, 5);
+  EXPECT_EQ(c.await_reach(rid), 9u);
+}
+
+TEST(ServerStatsOp, PerCounterStatsCarryEveryEngineStatistic) {
+  ServerFixture fx;
+  ms::ServerClient c = fx.connect();
+  const auto opened = c.open("stats/engine", "list");
+  c.increment(opened.id, 2);
+  c.increment(opened.id, 1);
+  const auto st = c.stats(opened.id);
+  std::size_t fields = 0;
+  monotonic::for_each_stat(monotonic::CounterStatsSnapshot{},
+                           [&](std::string_view key, std::uint64_t) {
+                             EXPECT_EQ(st.count(std::string(key)), 1u) << key;
+                             ++fields;
+                           });
+  EXPECT_EQ(st.size(), fields + 2);  // plus value and poisoned
+  EXPECT_EQ(st.at("value"), 3u);
+  EXPECT_EQ(st.at("poisoned"), 0u);
+  EXPECT_EQ(st.at("increments"), 2u);
+  EXPECT_EQ(st.at("stripe_count"), 1u);
+  EXPECT_EQ(st.at("wait_shard_count"), 1u);
 }
 
 TEST(ServerDeferredEngine, UnparseableDefaultSpecIsRejectedUpFront) {
@@ -917,14 +991,14 @@ TEST(ServerRobustness, OverflowingIncrementAnswersBadRequest) {
 TEST(ServerRobustness, BatchingSpecOverflowAnswersBadRequest) {
   ServerFixture fx;
   ms::ServerClient c = fx.connect();
+  // The server builds no +batching layer, so the spec is bounded like
+  // any other.
   const auto opened = c.open("buffered", "hybrid+batching,batch=1000");
   const std::uint64_t max = std::numeric_limits<std::uint64_t>::max() >> 1;
-  c.increment(opened.id, max - 10);  // reaches the batch: applied
-  c.increment(opened.id, 6);         // buffered by the decorator
-  // The buffered 6 counts: a second 6 would carry the value past max.
+  c.increment(opened.id, max - 10);
+  c.increment(opened.id, 6);
+  // A second 6 would carry the value past max.
   EXPECT_THROW(c.increment(opened.id, 6), std::invalid_argument);
-  // A parked wait makes the decorator flush its buffer; that flush must
-  // fit, so the server stays up.
   EXPECT_FALSE(c.check_for(opened.id, max, std::chrono::milliseconds(20)));
   EXPECT_EQ(c.check(opened.id, max - 4), max - 4);
   c.increment(opened.id, 4);
