@@ -159,72 +159,6 @@ void handoff_ablation() {
   bench::print(table);
 }
 
-void decorator_sweep() {
-  banner("E10.d", "composed decorators: 4 writers x 50k increments");
-  note("Every row is built from its spec string via make_counter(spec);\n"
-       "the reader drives the type-erased CheckFor until the total lands.");
-  TextTable table({"spec", "ms", "increments", "notifies", "suspensions"});
-  constexpr int kWriters = 4;
-  const counter_value_t kPerWriter = g_quick ? 5000 : 50000;
-  const counter_value_t kTotal = kWriters * kPerWriter;
-  const std::vector<std::string> specs = {
-      "list",
-      "list+traced",
-      "hybrid",
-      "hybrid+batching,batch=64",
-      "hybrid+batching,batch=64+traced",
-      "sharded+hybrid",
-      "sharded:8+hybrid+traced",
-  };
-  for (const std::string& spec : specs) {
-    auto probe = make_counter(spec);
-    const double ms = median_ms(g_quick ? 1 : kReps, [&] {
-      auto c = make_counter(spec);
-      std::atomic<bool> reached{false};
-      c->OnReach(kTotal, [&reached] {
-        reached.store(true, std::memory_order_relaxed);
-      });
-      std::vector<std::function<void()>> bodies;
-      for (int w = 0; w < kWriters; ++w) {
-        bodies.emplace_back([&] {
-          for (counter_value_t i = 0; i < kPerWriter; ++i) c->Increment(1);
-        });
-      }
-      bodies.emplace_back([&] {
-        while (!c->CheckFor(kTotal, std::chrono::milliseconds(50))) {
-        }
-      });
-      multithreaded(std::move(bodies), Execution::kMultithreaded);
-    });
-    // One instrumented run for the structural columns.
-    {
-      std::vector<std::function<void()>> bodies;
-      for (int w = 0; w < kWriters; ++w) {
-        bodies.emplace_back([&] {
-          for (counter_value_t i = 0; i < kPerWriter; ++i)
-            probe->Increment(1);
-        });
-      }
-      // CheckFor loop, not a bare Check: with a batching decorator the
-      // writers can exit leaving a sub-batch remainder in the buffer,
-      // and a checker that parked untimed before the last flush would
-      // wait forever.  Each CheckFor re-flushes, draining stragglers.
-      bodies.emplace_back([&] {
-        while (!probe->CheckFor(kTotal, std::chrono::milliseconds(50))) {
-        }
-      });
-      multithreaded(std::move(bodies), Execution::kMultithreaded);
-    }
-    const auto s = probe->stats();
-    table.add_row({probe->spec(), cell(ms), cell(s.increments),
-                   cell(s.notifies), cell(s.suspensions)});
-    g_json.record("decorator_sweep", probe->spec(), kWriters + 1,
-                  ms * 1e6 / static_cast<double>(kTotal),
-                  probe->stripe_count());
-  }
-  bench::print(table);
-}
-
 void poison_wake_latency() {
   banner("E10.e", "poison wake latency: Poison() -> last waiter resumed");
   note("Waiters park at distinct levels the counter never reaches; the\n"
@@ -579,7 +513,6 @@ int main(int argc, char** argv) {
     monotonic::heat_ablation();
   }
   monotonic::handoff_ablation();
-  monotonic::decorator_sweep();
   if (!monotonic::g_quick) {
     monotonic::poison_wake_latency();
   }

@@ -18,7 +18,6 @@
 #include "monotonic/core/any_counter.hpp"
 #include "monotonic/core/broadcast_counter.hpp"
 #include "monotonic/core/counter.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/core/futex_counter.hpp"
 #include "monotonic/core/hybrid_counter.hpp"
 #include "monotonic/core/spin_counter.hpp"
@@ -41,15 +40,10 @@ BENCHMARK_TEMPLATE(BM_IncrementUncontended, SingleCvCounter);
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, FutexCounter);
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, SpinCounter);
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, HybridCounter);
-// Decorated compositions ride the same template matrix: the overhead of
-// a layer is directly readable against its base row.
-BENCHMARK_TEMPLATE(BM_IncrementUncontended, Traced<Counter>);
-BENCHMARK_TEMPLATE(BM_IncrementUncontended, Batching<HybridCounter>);
 // Striped value plane: with no armed waiter the whole Increment is one
 // fetch_add on a private stripe plus a watermark load.
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, ShardedCounter);
 BENCHMARK_TEMPLATE(BM_IncrementUncontended, ShardedHybridCounter);
-BENCHMARK_TEMPLATE(BM_IncrementUncontended, Traced<ShardedHybridCounter>);
 
 template <typename C>
 void BM_CheckFastPath(benchmark::State& state) {
@@ -66,8 +60,6 @@ BENCHMARK_TEMPLATE(BM_CheckFastPath, SingleCvCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, FutexCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, SpinCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, HybridCounter);
-BENCHMARK_TEMPLATE(BM_CheckFastPath, Traced<Counter>);
-BENCHMARK_TEMPLATE(BM_CheckFastPath, Batching<HybridCounter>);
 // Striped check pays a sum over the stripes instead of one load.
 BENCHMARK_TEMPLATE(BM_CheckFastPath, ShardedCounter);
 BENCHMARK_TEMPLATE(BM_CheckFastPath, ShardedHybridCounter);

@@ -2,9 +2,9 @@
 //
 //   policy_sweep [spec] [--writers=N] [--items=N] [--timeout-ms=N]
 //
-// The spec string selects the wait policy and decorator stack at
-// runtime ("hybrid+traced", "list,pool=0", "futex+batching,batch=16",
-// ...); `--help` prints the grammar.  The program fans N writers over
+// The spec string selects the wait policy, value plane and wait index
+// at runtime ("hybrid", "list,pool=0", "sharded:4+futex", ...); `--help`
+// prints the grammar.  The program fans N writers over
 // the counter, registers an OnReach milestone callback at every
 // quarter of the total, and has the main thread follow progress with
 // timed CheckFor probes — the three faces of the unified engine
@@ -37,7 +37,7 @@ int run(int argc, char** argv) {
         args.program().c_str(), std::string(counter_spec_help()).c_str());
     return 0;
   }
-  const std::string spec = args.positional_str(0, "hybrid+traced");
+  const std::string spec = args.positional_str(0, "hybrid");
   const auto writers =
       static_cast<int>(args.option_u64("writers").value_or(4));
   const counter_value_t items = args.option_u64("items").value_or(100000);

@@ -2,10 +2,11 @@
 //
 //   ./build/examples/trace_demo [items] [readers] [out.json]
 //
-// Runs a §5.3 writer/readers broadcast with a Traced<> counter and phase
-// spans, then writes a Chrome trace-event file.  Open the output in
-// chrome://tracing or https://ui.perfetto.dev to see the writer's
-// increments racing ahead of each reader's checks.
+// Runs a §5.3 writer/readers broadcast over a plain Counter with phase
+// spans, prints the counter's own fast-check and suspension counts, then
+// writes a Chrome trace-event file.  Open the output in chrome://tracing
+// or https://ui.perfetto.dev to see the writer's phase racing ahead of
+// each reader's.
 //
 // The trace lands next to the binary (usually under build/) so the
 // demo never litters the working tree; pass --out=FILE or a third
@@ -17,7 +18,7 @@
 #include <fstream>
 #include <vector>
 
-#include "monotonic/core/counter_decorator.hpp"
+#include "monotonic/core/counter.hpp"
 #include "monotonic/support/cli.hpp"
 #include "monotonic/support/trace.hpp"
 #include "monotonic/threads/structured.hpp"
@@ -45,7 +46,7 @@ int run(int argc, char** argv) {
   tracer.enable();
 
   std::vector<std::uint64_t> data(items);
-  Traced<> published("published", tracer);
+  Counter published;
 
   std::vector<std::function<void()>> bodies;
   bodies.emplace_back([&] {
@@ -68,15 +69,12 @@ int run(int argc, char** argv) {
   }
   multithreaded(std::move(bodies), Execution::kMultithreaded);
 
-  const auto events = tracer.events();
-  std::size_t fast = 0, resumed = 0;
-  for (const auto& e : events) {
-    if (e.kind == TraceEventKind::kCheckFast) ++fast;
-    if (e.kind == TraceEventKind::kResume) ++resumed;
-  }
-  std::printf("%zu events: %zu increments visible, %zu fast checks, "
-              "%zu resumed-after-park checks\n",
-              events.size(), items, fast, resumed);
+  const CounterStatsSnapshot stats = published.stats();
+  std::printf("%zu events: %zu increments visible, %llu fast checks, "
+              "%llu suspensions\n",
+              tracer.events().size(), items,
+              static_cast<unsigned long long>(stats.fast_checks),
+              static_cast<unsigned long long>(stats.suspensions));
 
   std::ofstream out(out_path);
   out << tracer.to_chrome_json();

@@ -1,21 +1,17 @@
 // any_counter.cpp — kind names and the spec-string factory.
 //
-// The recursive builder is the interesting part: every decorator layer
-// wraps the layer beneath it through AnyHandle, so the same generic
-// templates (Traced<C>, Batching<C>) serve both compile-time
-// composition and runtime spec strings.
+// A spec parses to one base counter.  Removed knobs and layers still
+// parse, because server state files record raw specs: overload=spin
+// folds to overload=block, max_levels=L to max_waiters=min(W, L),
+// pool_size=N is ignored, and a traced, batching or broadcast layer is
+// dropped.  Canonical specs never print them.
 //
-// Removed knobs still parse, because server state files record raw
-// specs: overload=spin folds to overload=block, max_levels=L to
-// max_waiters=min(W, L), pool_size=N is ignored and a broadcast layer
-// is dropped.  Canonical specs never print them.
-//
-// A "sharded[:N]" prefix is not a decorator: it selects the striped
-// value plane *inside* the base counter (BasicCounter<Policy,
-// StripedPlane>), so it is parsed off the front before the base and
-// re-printed first in the canonical spec.  An explicit ":N" is always
-// printed; the auto stripe count (sized from hardware_concurrency) is
-// never printed, so canonical specs stay machine-independent.
+// A "sharded[:N]" prefix selects the striped value plane *inside* the
+// base counter (BasicCounter<Policy, StripedPlane>), so it is parsed
+// off the front before the base and re-printed first in the canonical
+// spec.  An explicit ":N" is always printed; the auto stripe count
+// (sized from hardware_concurrency) is never printed, so canonical
+// specs stay machine-independent.
 //
 // Spec errors throw std::invalid_argument with a message naming the
 // offending token — "hybrid+traced+traced" reports the duplicated
@@ -36,12 +32,10 @@
 #include "monotonic/core/broadcast_counter.hpp"
 #include "monotonic/core/completion.hpp"
 #include "monotonic/core/counter.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/core/futex_counter.hpp"
 #include "monotonic/core/hybrid_counter.hpp"
 #include "monotonic/core/shared_counter.hpp"
 #include "monotonic/core/spin_counter.hpp"
-#include "monotonic/support/trace.hpp"
 
 namespace monotonic {
 
@@ -82,7 +76,7 @@ const std::vector<CounterKind>& all_counter_kinds() {
 
 std::string_view counter_spec_help() {
   return "[sharded[:N]+][pooled[:N]+]kind[,opt=val...]"
-         "[+decorator[,opt=val...]]... — kinds: list, list-nopool, "
+         "[+layer[,opt=val...]]... — kinds: list, list-nopool, "
          "single-cv, futex, spin, hybrid; sharded[:N] stripes the value "
          "plane (bare 'sharded' = sharded+hybrid); pooled[:N] "
          "preallocates N wait nodes (default 64; bare 'pooled' = "
@@ -93,10 +87,10 @@ std::string_view counter_spec_help() {
          "executor=inline|pool[:N] (where OnReach callbacks run: inline "
          "on the incrementing thread — the default — or a completion "
          "thread pool of N workers, default 1); "
-         "decorators: traced, batching[,batch=N] (each at most once); "
          "old specs still parse: overload=spin = overload=block, "
-         "max_levels=L = max_waiters=min(N,L), pool_size=N and "
-         "+broadcast[,shards=N] are dropped; "
+         "max_levels=L = max_waiters=min(N,L); pool_size=N, +traced, "
+         "+batching[,batch=N] and +broadcast[,shards=N] are dropped "
+         "(each layer at most once); "
          "cross-process: shared:/name[,detect=MS]"
          "[,stale=MS][+futex] attaches every process naming the same "
          "/name to one shm-backed counter (detect = death-detector "
@@ -273,11 +267,12 @@ PoolPrefix take_pool_prefix(std::vector<SpecPart>& parts) {
   return out;
 }
 
-/// Satellite check run before any layer is built: every decorator must
-/// be a known name and appear at most once, and 'sharded' cannot ride
-/// in decorator position.  Reported by token so "hybrid+traced+traced"
-/// and "hybrid+tarced" both say exactly what's wrong.
-void validate_decorators(const std::vector<SpecPart>& parts) {
+/// Checks the components after the base before anything is built.
+/// They name removed layers, which are dropped, so each must be a
+/// known name and appear at most once, and 'sharded' cannot ride in
+/// layer position.  Reported by token so "hybrid+traced+traced" and
+/// "hybrid+tarced" both say exactly what's wrong.
+void validate_layers(const std::vector<SpecPart>& parts) {
   std::vector<std::string> seen;
   for (std::size_t i = 1; i < parts.size(); ++i) {
     const std::string& name = parts[i].name;
@@ -291,8 +286,8 @@ void validate_decorators(const std::vector<SpecPart>& parts) {
     if (name != "traced" && name != "batching" && name != "broadcast") {
       spec_error("unknown decorator '" + name + "'");
     }
-    // A removed broadcast layer is dropped (make_counter), but only
-    // with the options it used to accept.
+    // A dropped broadcast layer still takes only the options it used
+    // to accept.
     if (name == "broadcast") {
       for (const auto& [key, value] : parts[i].options) {
         if (key != "shards" || parse_uint(key, value) < 1) {
@@ -304,6 +299,24 @@ void validate_decorators(const std::vector<SpecPart>& parts) {
       if (s == name) spec_error("duplicate decorator '" + name + "'");
     }
     seen.push_back(name);
+  }
+}
+
+/// A dropped batching layer still takes only batch=N, N >= 1.  Checked
+/// after the base, as when the layer was built.
+void validate_batching(const std::vector<SpecPart>& parts) {
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    if (parts[i].name != "batching") continue;
+    std::uint64_t batch = 64;  // the last batch=N wins
+    for (const auto& [key, value] : parts[i].options) {
+      if (key != "batch") {
+        spec_error("unknown option '" + key + "' for decorator 'batching'");
+      }
+      batch = parse_uint(key, value);
+    }
+    if (batch < 1) {
+      spec_error("option 'batch' of decorator 'batching' must be positive");
+    }
   }
 }
 
@@ -529,8 +542,8 @@ class SharedCounterModel final : public AnyCounter {
 
 /// Parses everything after the "shared:" prefix:
 ///   /name[,detect=MS][,stale=MS][+futex]
-/// The whole spec is the base — shared counters take no decorators
-/// (each layer would be per-process state the other side can't see),
+/// The whole spec is the base — shared counters take no layers (each
+/// would be per-process state the other side can't see),
 /// and the only accepted '+' suffix is the redundant 'futex' (the
 /// shared wait plane IS the futex word; canonical form drops it).
 std::unique_ptr<AnyCounter> make_shared_counter(std::string_view spec) {
@@ -629,96 +642,31 @@ std::unique_ptr<AnyCounter> make_base(const BaseConfig& cfg,
   return nullptr;  // unreachable
 }
 
-/// Builds the base plus the first `layers` decorators of the parsed
-/// spec.  `canonical` is the canonical spec up to and including that
-/// layer (what the returned counter reports from spec()).
-std::unique_ptr<AnyCounter> build_layers(const std::vector<SpecPart>& parts,
-                                         const BaseConfig& base,
-                                         std::size_t layers);
-
-std::string canonical_layers(const std::vector<SpecPart>& parts,
-                             const BaseConfig& base, std::size_t layers) {
-  std::string spec = canonical_base(base);
-  for (std::size_t i = 1; i <= layers; ++i) {
-    const SpecPart& part = parts[i];
-    spec += '+';
-    if (part.name == "traced") {
-      spec += "traced";
-    } else if (part.name == "batching") {
-      counter_value_t batch = 64;
-      for (const auto& [key, value] : part.options) {
-        if (key != "batch") {
-          spec_error("unknown option '" + key + "' for decorator 'batching'");
-        }
-        batch = parse_uint(key, value);
-      }
-      spec += batch == 64 ? std::string("batching")
-                          : "batching,batch=" + std::to_string(batch);
-    } else {
-      spec_error("unknown decorator '" + part.name + "'");
-    }
-  }
-  return spec;
-}
-
-std::unique_ptr<AnyCounter> build_layers(const std::vector<SpecPart>& parts,
-                                         const BaseConfig& base,
-                                         std::size_t layers) {
-  std::string spec = canonical_layers(parts, base, layers);
-  if (layers == 0) return make_base(base, std::move(spec));
-
-  using detail::CounterModel;
-  const SpecPart& part = parts[layers];
-  if (part.name == "traced") {
-    return std::make_unique<CounterModel<Traced<AnyHandle>>>(
-        base.kind, std::move(spec), "counter", Tracer::global(), inner_args,
-        AnyHandle(build_layers(parts, base, layers - 1)));
-  }
-  if (part.name == "batching") {
-    counter_value_t batch = 64;
-    for (const auto& [key, value] : part.options) {
-      if (key != "batch") {
-        spec_error("unknown option '" + key + "' for decorator 'batching'");
-      }
-      batch = parse_uint(key, value);
-    }
-    return std::make_unique<CounterModel<Batching<AnyHandle>>>(
-        base.kind, std::move(spec), batch, inner_args,
-        AnyHandle(build_layers(parts, base, layers - 1)));
-  }
-  spec_error("unknown decorator '" + part.name + "'");
-}
-
 /// Builds a spec that is not "shared:".  With a `host` executor, it
-/// runs every completion and the spec's executor token and batching
-/// layer are ignored: no pool starts and the canonical spec names
-/// neither.  Without one, the spec's pool (if any) starts once the
-/// whole spec has parsed.
+/// runs every completion and the spec's executor token is ignored: no
+/// pool starts and the canonical spec names none.  Without one, the
+/// spec's pool (if any) starts once the whole spec has parsed.  The
+/// layers after the base are dropped; a host never checked a batching
+/// layer's options, so it still accepts any.
 std::unique_ptr<AnyCounter> build_spec(
     std::string_view spec,
     std::optional<std::shared_ptr<CompletionExecutor>> host) {
   std::vector<SpecPart> parts = parse_spec(spec);
   const ShardPrefix shard = take_shard_prefix(parts);
   const PoolPrefix pool = take_pool_prefix(parts);
-  validate_decorators(parts);
-  // A broadcast layer (removed) is dropped: every shard held the full
-  // value, so the layer beneath answers every call the same way.  A
-  // host drops a batching layer too: its one incrementer applies each
-  // Increment where it parses it, and an Increment releases every
-  // level it reaches (paper §7), which a buffered amount would not.
-  std::erase_if(parts, [&](const SpecPart& p) {
-    return &p != &parts.front() &&
-           (p.name == "broadcast" || (host && p.name == "batching"));
-  });
+  validate_layers(parts);
   BaseConfig base = parse_base(parts.front(), shard, pool);
   if (host) {
     base.executor_pool_threads = 0;
     base.options.completion_executor = std::move(*host);
-  } else if (base.executor_pool_threads != 0) {
-    base.options.completion_executor =
-        std::make_shared<ThreadPoolExecutor>(base.executor_pool_threads);
+  } else {
+    validate_batching(parts);
+    if (base.executor_pool_threads != 0) {
+      base.options.completion_executor =
+          std::make_shared<ThreadPoolExecutor>(base.executor_pool_threads);
+    }
   }
-  return build_layers(parts, base, parts.size() - 1);
+  return make_base(base, canonical_base(base));
 }
 
 }  // namespace

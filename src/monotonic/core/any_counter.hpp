@@ -7,13 +7,13 @@
 //
 // Since the policy-based refactor every implementation supports the
 // full BasicCounter surface, so the virtual interface carries the
-// timed/async operations and introspection too, and make_counter grew
-// a *spec-string* overload for composed decorator stacks:
+// timed/async operations and introspection too, and make_counter has
+// a *spec-string* overload:
 //
 //   spec     := ['sharded'[':'N] '+'] ['pooled'[':'N] '+']
-//               base ('+' decorator)*
+//               base ('+' layer)*
 //   base     := kind (',' key '=' value)*          e.g. "list,pool=0"
-//   decorator:= name (',' key '=' value)*          e.g. "batching,batch=64"
+//   layer    := name (',' key '=' value)*          e.g. "batching,batch=64"
 //
 //   kinds:      list, list-nopool, single-cv, futex, spin, hybrid
 //   sharded:    stripes the *value plane* (striped_cells.hpp) under the
@@ -32,22 +32,20 @@
 //               waitplane=heap:S                   (S level shards of
 //               the wait index, 1..64 — see wait_index.hpp; bare
 //               list|heap = the default one shard)
-//   decorators: traced                             (Tracer events)
-//               batching  [batch=N, default 64]    (amortized Increment)
 //   removed, still parsed for old state files:
 //               overload=spin = overload=block; max_levels=L folds to
 //               max_waiters=min(N, L) (live levels never outnumber
 //               waiters); pool_size=N is ignored (the pool keeps a
 //               constant 64 freed nodes, or the pooled:N count);
-//               +broadcast[,shards=N] is dropped (every shard held
-//               the full value)
+//               the layers +traced, +batching[,batch=N] and
+//               +broadcast[,shards=N] are dropped, so every Increment
+//               releases the levels it reaches (paper §7; per-writer
+//               batching is BatchingIncrementer's, batching_counter.hpp)
 //
-// Decorators apply left-to-right, innermost first: "hybrid+traced"
-// is Traced<hybrid>; "list+batching,batch=8+traced" is
-// Traced<Batching<list>>.  spec() returns the canonical form, so
-// bench tables are self-describing and specs round-trip.  Malformed
-// specs — unknown kinds/decorators, a duplicated decorator, options on
-// the wrong component — throw std::invalid_argument naming the bad
+// spec() returns the canonical form, so bench tables are
+// self-describing and specs round-trip; "hybrid+traced" is "hybrid".
+// Malformed specs — unknown kinds/layers, a duplicated layer, options
+// on the wrong component — throw std::invalid_argument naming the bad
 // token ("hybrid+traced+traced" → "duplicate decorator 'traced' ...").
 #pragma once
 
@@ -139,7 +137,7 @@ class AnyCounter {
   virtual std::size_t stripe_count() const = 0;
   /// Kind of the innermost (base) implementation.
   virtual CounterKind kind() const = 0;
-  /// Canonical spec string ("hybrid+traced"); round-trips through
+  /// Canonical spec string ("sharded:4+hybrid"); round-trips through
   /// make_counter(spec).
   virtual const std::string& spec() const = 0;
 };
@@ -147,17 +145,17 @@ class AnyCounter {
 /// Creates an undecorated counter of the given kind.
 std::unique_ptr<AnyCounter> make_counter(CounterKind kind);
 
-/// Creates a counter (possibly a decorator stack) from a spec string —
-/// see the grammar in the header comment.  Throws std::invalid_argument
-/// on malformed specs, unknown kinds/decorators/options.
+/// Creates a counter from a spec string — see the grammar in the header
+/// comment.  Throws std::invalid_argument on malformed specs, unknown
+/// kinds/layers/options.
 std::unique_ptr<AnyCounter> make_counter(std::string_view spec);
 
 /// Builds `spec` for a host that runs every completion on `executor`
 /// (null = inline on the incrementing thread).  The counter delivers
 /// its OnReach / predicate completions there whatever the spec says:
 /// an "executor=inline|pool[:N]" token is ignored, so no pool starts
-/// and the canonical spec names none.  A "+batching" layer is dropped
-/// the same way, so every Increment releases the levels it reaches.
+/// and the canonical spec names none.  Removed layers are dropped as by
+/// make_counter(spec), but a "+batching" layer's options go unchecked.
 /// The counter server builds every engine this way with one
 /// InlineExecutor, so each completion runs on its loop thread.  Throws
 /// std::invalid_argument naming the spec for "shared:" specs, whose
@@ -168,9 +166,9 @@ std::unique_ptr<AnyCounter> make_counter(
 /// One-line usage string for CLIs (--counter=SPEC help text).
 std::string_view counter_spec_help();
 
-/// Owning CounterLike view over a type-erased counter, so the generic
-/// decorators (Traced<C>, Batching<C>) and anything
-/// else templated on CounterLike can wrap a runtime-selected stack.
+/// Owning CounterLike view over a type-erased counter, so anything
+/// templated on CounterLike (the predicate and awaitable helpers, the
+/// patterns) can run over a runtime-selected counter.
 class AnyHandle {
  public:
   explicit AnyHandle(std::unique_ptr<AnyCounter> inner)
@@ -254,16 +252,14 @@ class AnyHandle {
   CounterKind kind() const { return inner_->kind(); }
   const std::string& spec() const { return inner_->spec(); }
 
-  AnyCounter& erased() { return *inner_; }
-
  private:
   std::unique_ptr<AnyCounter> inner_;
 };
 
 namespace detail {
 
-/// Adapts a concrete counter (or decorator stack) to AnyCounter.  Kind
-/// and spec are runtime data so one template serves every composition.
+/// Adapts a concrete counter to AnyCounter.  Kind and spec are runtime
+/// data: "list" and "list-nopool" share one Counter instantiation.
 template <typename C>
 class CounterModel final : public AnyCounter {
  public:
@@ -318,8 +314,6 @@ class CounterModel final : public AnyCounter {
   }
   CounterKind kind() const override { return kind_; }
   const std::string& spec() const override { return spec_; }
-
-  C& impl() { return impl_; }
 
  private:
   CounterKind kind_;

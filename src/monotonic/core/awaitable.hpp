@@ -31,8 +31,7 @@
 //
 // This header is standalone: it needs only the standard library plus
 // the error and config headers, never the engine — any type with the
-// OnReach(level, fn, on_err) contract works, including AnyHandle and
-// every decorator.
+// OnReach(level, fn, on_err) contract works, including AnyHandle.
 #pragma once
 
 #include <atomic>
@@ -188,7 +187,7 @@ class [[nodiscard]] ReachAwaitable {
 
 /// `co_await reach(counter, n)` — suspend this coroutine until
 /// `counter`'s value is at least `n`.  Works with any OnReach-capable
-/// counter: every policy, both wait planes, decorators, AnyHandle.
+/// counter: every policy, both value planes, AnyHandle.
 template <typename C>
 ReachAwaitable<C> reach(C& counter, counter_value_t level) {
   return ReachAwaitable<C>(counter, level);

@@ -1,27 +1,24 @@
 // batching_counter.hpp — per-thread increment batching.
 //
-// §5.3's blocked writer generalized into a counter adapter: a
-// BatchingIncrementer accumulates increments locally and pushes them to
-// the shared counter once `batch_size` units have accrued (or on
-// flush()/destruction).  Readers observe the counter rising in batch
-// steps — coarser dataflow granularity for cheaper synchronization,
-// the same dial as §5.3's blockSize but reusable with ANY counter
-// consumer, not just BroadcastChannel.
+// The one batching dial: §5.3's blocked writer generalized into a
+// counter front-end.  A BatchingIncrementer accumulates one producer's
+// increments locally and pushes them to the shared counter once
+// `batch_size` units have accrued (or on flush()/destruction).  Readers
+// observe the counter rising in batch steps — coarser dataflow
+// granularity for cheaper synchronization, the same dial as §5.3's
+// blockSize but reusable with ANY counter consumer, not just
+// BroadcastChannel.
 //
 // Semantics note: batching *delays* visibility (value lags the logical
 // total by < batch_size until flushed) but preserves monotonicity and
 // therefore all of §6's determinism machinery — a Check still can't
-// observe a value that later decreases.
-//
-// Related: Batching<C> (counter_decorator.hpp) is the decorator form —
-// a thread-safe counter that owns its wrapped implementation and
-// batches internally, composable via the spec factory.  This class is
-// the per-thread front-end sharing one counter reference.
+// observe a value that later decreases.  The buffer belongs to its
+// producer, which alone decides when to flush; the counter itself
+// buffers nothing, so an Increment releases every level it reaches.
 #pragma once
 
 #include "monotonic/core/counter.hpp"
 #include "monotonic/core/counter_concept.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/support/assert.hpp"
 #include "monotonic/support/config.hpp"
 
@@ -47,9 +44,9 @@ class BatchingIncrementer {
   /// incrementer routinely dies during stack unwinding — often from
   /// the very exception that just poisoned the underlying counter.  A
   /// BasicCounter absorbs post-poison increments as counted drops, but
-  /// a CounterLike is any counter (AnyCounter, decorators, user
-  /// types), and its Increment may throw (overflow MC_REQUIRE, a
-  /// poisoned adapter that rethrows, ...).  Letting that escape here
+  /// a CounterLike is any counter (AnyHandle, user types), and its
+  /// Increment may throw (overflow MC_REQUIRE, a poisoned adapter that
+  /// rethrows, ...).  Letting that escape here
   /// would std::terminate the process mid-unwind, so the destructor
   /// swallows the failure and records the loss in dropped() instead.
   ~BatchingIncrementer() {

@@ -1,5 +1,5 @@
 // counter_concept.hpp — the compile-time interfaces counter
-// implementations share, for generic algorithms, decorators and typed
+// implementations share, for generic algorithms, AnyHandle and typed
 // tests.  Split in three tiers so a component can demand exactly what
 // it uses: the patterns layer mostly needs CounterLike, timed helpers
 // need TimedCounterLike, and the Figure-2 tests need
@@ -22,9 +22,9 @@ namespace monotonic {
 namespace detail {
 
 /// Number of value-plane stripes of any counter-like object: its own
-/// stripe_count() when it has one, else 1 (unsharded).  Lets the
-/// decorators and AnyCounter forward stripe metadata without requiring
-/// every CounterLike to grow the accessor.
+/// stripe_count() when it has one, else 1 (unsharded).  Lets
+/// AnyCounter forward stripe metadata without requiring every
+/// CounterLike to grow the accessor.
 template <typename C>
 std::size_t stripe_count_of(const C& c) noexcept {
   if constexpr (requires {
@@ -59,8 +59,8 @@ concept CounterLike = requires(C c, counter_value_t v) {
 };
 
 /// CounterLike plus the timed and asynchronous check extensions.
-/// Every BasicCounter instantiation (and every decorator over one)
-/// models this since the policy-based refactor.
+/// Every BasicCounter instantiation (and AnyHandle over one) models
+/// this since the policy-based refactor.
 template <typename C>
 concept TimedCounterLike =
     CounterLike<C> &&
@@ -74,8 +74,8 @@ concept TimedCounterLike =
 
 /// CounterLike plus the failure model (see counter_error.hpp): poison
 /// with a cause, observe the poisoned state, and park cancellably.
-/// Every BasicCounter instantiation and every shipped decorator models
-/// this; the patterns layer (pipeline, broadcast, structured scopes)
+/// Every BasicCounter instantiation and AnyHandle model this; the
+/// patterns layer (pipeline, broadcast, structured scopes)
 /// requires it to unwind instead of hanging when a producer dies.
 template <typename C>
 concept FailureAwareCounter =
@@ -92,7 +92,7 @@ concept FailureAwareCounter =
 /// the value holds, read a conservative lower bound of the value for
 /// trigger computation, and register error-aware OnReach callbacks —
 /// everything multi.hpp's check_any / check_sum_at_least need.  Every
-/// BasicCounter instantiation and every shipped decorator models this.
+/// BasicCounter instantiation and AnyHandle model this.
 template <typename C>
 concept PredicateCounterLike =
     CounterLike<C> &&

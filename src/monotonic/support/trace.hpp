@@ -14,8 +14,9 @@
 //   * event names are `const char*` with static storage duration (no
 //     ownership, no allocation on record).
 //
-// The Traced<C> decorator (core/counter_decorator.hpp) hooks counter
-// operations into a Tracer; Span records user phases.
+// Span records user phases; record() marks single events.  The counters
+// carry no tracer hooks: their stats() (core/counter_stats.hpp) count
+// fast checks, suspensions and wakes.
 #pragma once
 
 #include <atomic>

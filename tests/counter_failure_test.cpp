@@ -1,11 +1,11 @@
 // counter_failure_test.cpp — the failure model, run against every
-// implementation and every decorated composition.
+// implementation.
 //
 // The engine's failure model (poison, cancellation, stall watchdog —
 // see counter_error.hpp) is policy-independent machinery, so like the
 // conformance suite it is typed over all five BasicCounter
-// instantiations plus Traced/Batching compositions: a
-// policy or decorator cannot silently strand a waiter.  The scenarios
+// instantiations and their striped and sharded-index variants: a
+// policy cannot silently strand a waiter.  The scenarios
 // matching the §6 caveat: poison-then-check, poison-while-parked,
 // poison racing increments, cooperative cancellation, zero-deadline
 // probes, OnReach error delivery, and the FailureDomain scope wiring.
@@ -28,7 +28,6 @@
 #include "monotonic/core/broadcast_counter.hpp"
 #include "monotonic/core/counter.hpp"
 #include "monotonic/core/counter_concept.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/core/counter_error.hpp"
 #include "monotonic/core/futex_counter.hpp"
 #include "monotonic/core/hybrid_counter.hpp"
@@ -62,17 +61,14 @@ using FaultHybridCounter =
     BasicCounter<HybridWaitT<monotonic::sim::RealFaultEnv>>;
 
 // The failure model is part of the uniform surface: every
-// implementation, every decorator, and the type-erased handle.
+// implementation and the type-erased handle.
 static_assert(FailureAwareCounter<Counter>);
 static_assert(FailureAwareCounter<SingleCvCounter>);
 static_assert(FailureAwareCounter<FutexCounter>);
 static_assert(FailureAwareCounter<SpinCounter>);
 static_assert(FailureAwareCounter<HybridCounter>);
-static_assert(FailureAwareCounter<Traced<Counter>>);
-static_assert(FailureAwareCounter<Batching<HybridCounter>>);
 static_assert(FailureAwareCounter<ShardedCounter>);
 static_assert(FailureAwareCounter<ShardedHybridCounter>);
-static_assert(FailureAwareCounter<Traced<ShardedHybridCounter>>);
 static_assert(FailureAwareCounter<AnyHandle>);
 
 // Sharded wait index wrappers (waitplane=heap:S — wait_index.hpp): the
@@ -104,9 +100,7 @@ class FailureModel : public ::testing::Test {
 
 using AllCounterTypes =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
-                     HybridCounter, Traced<Counter>, Batching<HybridCounter>,
-                     ShardedCounter,
-                     ShardedHybridCounter, Traced<ShardedHybridCounter>,
+                     HybridCounter, ShardedCounter, ShardedHybridCounter,
                      FaultListCounter, FaultSingleCvCounter,
                      FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
                      HeapPlane<Counter>, HeapPlane<ShardedHybridCounter>,
@@ -121,9 +115,6 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, FutexCounter>) return "futex";
     if constexpr (std::is_same_v<T, SpinCounter>) return "spin";
     if constexpr (std::is_same_v<T, HybridCounter>) return "hybrid";
-    if constexpr (std::is_same_v<T, Traced<Counter>>) return "list_traced";
-    if constexpr (std::is_same_v<T, Batching<HybridCounter>>)
-      return "hybrid_batching";
     if constexpr (std::is_same_v<T, ShardedCounter>) return "sharded_list";
     if constexpr (std::is_same_v<T, ShardedSingleCvCounter>)
       return "sharded_single_cv";
@@ -132,8 +123,6 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, ShardedSpinCounter>) return "sharded_spin";
     if constexpr (std::is_same_v<T, ShardedHybridCounter>)
       return "sharded_hybrid";
-    if constexpr (std::is_same_v<T, Traced<ShardedHybridCounter>>)
-      return "sharded_hybrid_traced";
     if constexpr (std::is_same_v<T, FaultListCounter>) return "fault_list";
     if constexpr (std::is_same_v<T, FaultSingleCvCounter>)
       return "fault_single_cv";
@@ -643,7 +632,8 @@ TEST(AnyCounterFailure, ErasedSurfaceCarriesTheFailureModel) {
   }
 }
 
-TEST(AnyCounterFailure, DecoratedSpecStacksForwardPoison) {
+// Specs naming dropped layers build the bare base, which carries poison.
+TEST(AnyCounterFailure, DroppedLayerSpecsForwardPoison) {
   for (const char* spec :
        {"hybrid+traced", "list+batching,batch=8", "futex+traced",
         "spin+batching,batch=4+traced"}) {

@@ -12,9 +12,8 @@
 //   (g) T3 resumes execution         — node {5} deallocated; {9,1} left
 //
 // Since the policy-based refactor the ordered wait list lives in the
-// shared engine, so the scenario is a typed suite: every policy (and
-// decorated composition) must draw exactly the figure's (value,
-// [(level, count)]) shape.  Released-but-not-yet-exited waiters
+// shared engine, so the scenario is a typed suite: every policy must
+// draw exactly the figure's (value, [(level, count)]) shape.  Released-but-not-yet-exited waiters
 // ((e)-(f)) are scheduler-timed, so the test asserts the stable states
 // before (d)->(e) and after (g).  Node/notify accounting that depends
 // on the single-list layout stays Counter-only at the bottom.
@@ -28,7 +27,6 @@
 
 #include "monotonic/core/broadcast_counter.hpp"
 #include "monotonic/core/counter.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/core/futex_counter.hpp"
 #include "monotonic/core/hybrid_counter.hpp"
 #include "monotonic/core/spin_counter.hpp"
@@ -59,7 +57,7 @@ class Figure2 : public ::testing::Test {
 
 using Figure2Types =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
-                     HybridCounter, Traced<Counter>, Batching<HybridCounter>>;
+                     HybridCounter>;
 
 struct Figure2TypeNames {
   template <typename T>
@@ -69,9 +67,6 @@ struct Figure2TypeNames {
     if constexpr (std::is_same_v<T, FutexCounter>) return "futex";
     if constexpr (std::is_same_v<T, SpinCounter>) return "spin";
     if constexpr (std::is_same_v<T, HybridCounter>) return "hybrid";
-    if constexpr (std::is_same_v<T, Traced<Counter>>) return "list_traced";
-    if constexpr (std::is_same_v<T, Batching<HybridCounter>>)
-      return "hybrid_batching";
   }
 };
 

@@ -2,15 +2,19 @@
 //
 // Every supported spec must round-trip: make_counter(spec)->spec()
 // yields the canonical form, and feeding the canonical form back in
-// reproduces it (a fixed point).  Behavior is spot-checked through the
-// type-erased interface so a wrong wiring of a decorator layer (e.g.
-// batching that never flushes) fails here rather than in a bench.
+// reproduces it (a fixed point).  Removed layers (+traced, +batching,
+// +broadcast) still parse, because server state files hold raw specs,
+// and are dropped; the compatibility table pins which specs parse and
+// which token each refusal names.  Behavior is spot-checked through the
+// type-erased interface, so a spec whose Increment stops releasing its
+// waiters fails here rather than in a bench.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -66,18 +70,16 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"list,pool=1", "list"},
         // Whitespace is insignificant.
         SpecCase{" hybrid , pool_size = 64 ", "hybrid"},
-        // Decorators, defaults elided.
-        SpecCase{"hybrid+traced", "hybrid+traced"},
-        SpecCase{"hybrid+batching", "hybrid+batching"},
-        SpecCase{"hybrid+batching,batch=64", "hybrid+batching"},
-        SpecCase{"hybrid+batching,batch=16", "hybrid+batching,batch=16"},
-        // Stacked layers keep their order.
-        SpecCase{"futex+batching,batch=8+traced",
-                 "futex+batching,batch=8+traced"},
         // Removed knobs still parse (server state files hold raw
         // specs) and fold away: overload=spin waits like block,
         // max_levels=L becomes max_waiters=min(W, L), pool_size=N is
-        // ignored and a broadcast layer is dropped.
+        // ignored and a traced, batching or broadcast layer is dropped.
+        SpecCase{"hybrid+traced", "hybrid"},
+        SpecCase{"hybrid+traced,x=1", "hybrid"},
+        SpecCase{"hybrid+batching", "hybrid"},
+        SpecCase{"hybrid+batching,batch=64", "hybrid"},
+        SpecCase{"hybrid+batching,batch=16", "hybrid"},
+        SpecCase{"futex+batching,batch=8+traced", "futex"},
         SpecCase{"hybrid,overload=spin", "hybrid,overload=block"},
         SpecCase{"list,max_levels=4", "list,max_waiters=4"},
         SpecCase{"list,max_waiters=8,max_levels=4", "list,max_waiters=4"},
@@ -87,10 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"hybrid,pool_size=0", "hybrid"},
         SpecCase{"list+broadcast", "list"},
         SpecCase{"list+broadcast,shards=2", "list"},
-        SpecCase{"list,pool=0+traced+broadcast,shards=2",
-                 "list-nopool+traced"},
-        SpecCase{"hybrid+broadcast+batching,batch=8",
-                 "hybrid+batching,batch=8"},
+        SpecCase{"list,pool=0+traced+broadcast,shards=2", "list-nopool"},
+        SpecCase{"hybrid+broadcast+batching,batch=8", "hybrid"},
         // Sharded value plane: bare "sharded" means sharded+hybrid; an
         // explicit stripe count always prints, the auto count never
         // does (canonical specs are machine-independent).
@@ -102,9 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"sharded:4+futex", "sharded:4+futex"},
         SpecCase{"sharded:1+spin", "sharded:1+spin"},
         SpecCase{"sharded+list,pool=0", "sharded+list-nopool"},
-        SpecCase{"sharded:2+hybrid+traced", "sharded:2+hybrid+traced"},
-        SpecCase{"sharded+hybrid+batching,batch=16",
-                 "sharded+hybrid+batching,batch=16"},
+        SpecCase{"sharded:2+hybrid+traced", "sharded:2+hybrid"},
+        SpecCase{"sharded+hybrid+batching,batch=16", "sharded+hybrid"},
         // Wait index shards: bare waitplane=list|heap mean the default
         // one shard and never print (recorded specs still name them);
         // an explicit shard count always prints (mirrors the sharded
@@ -115,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"list,pool=0,waitplane=heap:2",
                  "list-nopool,waitplane=heap:2"},
         SpecCase{"sharded:2+hybrid,waitplane=heap:4+traced",
-                 "sharded:2+hybrid,waitplane=heap:4+traced"},
+                 "sharded:2+hybrid,waitplane=heap:4"},
         SpecCase{"pooled:16+futex,waitplane=heap", "pooled:16+futex"},
         // Completion executor: inline is the default and never prints;
         // pool always prints with its explicit worker count (bare
@@ -129,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"hybrid,waitplane=heap:4,executor=pool:2",
                  "hybrid,waitplane=heap:4,executor=pool:2"},
         SpecCase{"sharded:2+hybrid,executor=pool+traced",
-                 "sharded:2+hybrid,executor=pool:1+traced"}));
+                 "sharded:2+hybrid,executor=pool:1"}));
 
 // Every enumerated kind round-trips through its kind string.
 TEST(SpecFactory, EveryKindRoundTrips) {
@@ -159,7 +158,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "list,pool", "list,pool=x", "list+batching,shards=2",
                       "list+broadcast,batch=2", "list+broadcast,shards=0",
                       "list+", "+traced",
-                      // Duplicate decorators and misplaced/malformed
+                      // Duplicate layers and misplaced/malformed
                       // sharded prefixes.
                       "hybrid+traced+traced", "list+batching+batching",
                       "list+broadcast+traced+broadcast", "hybrid+sharded",
@@ -187,7 +186,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "shared:/name,bogus=1", "shared:/name,detect=x",
                       "shared:/name,detect=0", "shared:/name,detect",
                       // Only the redundant '+futex' may follow; shared
-                      // counters take no decorators.
+                      // counters take no layers.
                       "shared:/name+traced", "shared:/name+batching"));
 
 // Satellite requirement: a rejected spec's message names the token
@@ -230,6 +229,112 @@ TEST(SpecRejects, MessagesNameTheBadToken) {
   EXPECT_NE(message_of("shared:/name,bogus=1").find("'bogus'"),
             std::string::npos);
 }
+
+// ---------------------------------------------------------------------
+// Compatibility of the removed layers.  Server state files hold raw
+// specs, and a stored spec that stops parsing loses its counter on
+// restore, so the set of accepted specs is fixed: each row either
+// parses (token == nullptr) or is refused with a message naming
+// `token`, exactly as before the layers were removed.
+
+struct CompatCase {
+  const char* spec;
+  const char* token;  ///< nullptr: the spec parses
+};
+
+std::string refusal_of(const std::function<void()>& build) {
+  try {
+    build();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+void expect_compat(const CompatCase& p, const std::string& message) {
+  if (p.token == nullptr) {
+    EXPECT_EQ(message, "") << p.spec;
+  } else {
+    EXPECT_NE(message.find(p.token), std::string::npos)
+        << p.spec << " -> " << (message.empty() ? "accepted" : message);
+  }
+}
+
+class SpecCompat : public ::testing::TestWithParam<CompatCase> {};
+
+TEST_P(SpecCompat, AcceptsAndRefusesAsBefore) {
+  const CompatCase p = GetParam();
+  expect_compat(p, refusal_of([&] { (void)make_counter(p.spec); }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RemovedLayers, SpecCompat,
+    ::testing::Values(
+        // Parse: a traced layer's options were never read, and the last
+        // batch=N wins.
+        CompatCase{"hybrid+traced", nullptr},
+        CompatCase{"hybrid+traced,x=1", nullptr},
+        CompatCase{"hybrid+batching", nullptr},
+        CompatCase{"hybrid+batching,batch=1", nullptr},
+        CompatCase{"hybrid+batching,batch=0,batch=5", nullptr},
+        CompatCase{"list+traced+batching,batch=8+broadcast", nullptr},
+        CompatCase{"sharded+hybrid+batching,batch=16+traced", nullptr},
+        CompatCase{"pooled:8+futex,waitplane=heap:2+traced", nullptr},
+        // Refused: duplicates, unknown or misplaced layers.
+        CompatCase{"hybrid+traced+traced", "'traced'"},
+        CompatCase{"list+batching+batching", "'batching'"},
+        CompatCase{"list+broadcast+traced+broadcast", "'broadcast'"},
+        CompatCase{"hybrid+tarced", "'tarced'"},
+        CompatCase{"hybrid+sharded", "'sharded'"},
+        CompatCase{"list+sharded:4", "'sharded:4'"},
+        CompatCase{"hybrid+pooled", "'pooled'"},
+        CompatCase{"list+", "empty component"},
+        CompatCase{"+traced", "empty component"},
+        // Refused: a layer's options.
+        CompatCase{"hybrid+batching,batch=0", "batch"},
+        CompatCase{"hybrid+batching,foo=1", "'foo'"},
+        CompatCase{"list+batching,shards=2", "'shards'"},
+        CompatCase{"hybrid+batching,batch=x", "'batch'"},
+        CompatCase{"hybrid+batching,batch=0,foo=1", "'foo'"},
+        CompatCase{"list+broadcast,batch=2", "'broadcast'"},
+        CompatCase{"list+broadcast,shards=0", "'broadcast'"},
+        // Refused: the base is checked before a batching layer.
+        CompatCase{"bogus+batching,batch=0", "'bogus'"},
+        CompatCase{"list,bogus=1+batching,foo=1", "'bogus'"},
+        CompatCase{"hybrid,executor=pool:0+batching,batch=0",
+                   "executor=pool:0"},
+        // Refused: a shared counter takes no layers.
+        CompatCase{"shared:/x+traced", "'traced'"},
+        CompatCase{"shared:/x+batching", "'batching'"}));
+
+#if !defined(_WIN32)
+
+// A host (the counter server) never checked a batching layer's options,
+// so state files may hold such specs; everything else is refused as
+// without a host.
+class SpecCompatHosted : public ::testing::TestWithParam<CompatCase> {};
+
+TEST_P(SpecCompatHosted, AcceptsAndRefusesAsBefore) {
+  const CompatCase p = GetParam();
+  expect_compat(p, refusal_of([&] {
+                  (void)make_counter(p.spec,
+                                     std::make_shared<InlineExecutor>());
+                }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RemovedLayers, SpecCompatHosted,
+    ::testing::Values(CompatCase{"hybrid+batching,batch=1000+traced", nullptr},
+                      CompatCase{"hybrid+batching,batch=0", nullptr},
+                      CompatCase{"hybrid+batching,foo=1", nullptr},
+                      CompatCase{"hybrid+traced,x=1", nullptr},
+                      CompatCase{"hybrid+traced+traced", "'traced'"},
+                      CompatCase{"list+batching+batching", "'batching'"},
+                      CompatCase{"hybrid+tarced", "'tarced'"},
+                      CompatCase{"list+broadcast,shards=0", "'broadcast'"},
+                      CompatCase{"bogus+batching", "'bogus'"}));
+
+#endif  // !_WIN32
 
 #if !defined(_WIN32)
 
@@ -291,11 +396,13 @@ TEST(SpecHosted, HostExecutorReplacesTheSpecsPool) {
 }
 
 TEST(SpecHosted, HostDropsTheBatchingLayer) {
-  // The host is the counter's only incrementer: each Increment must
-  // release the levels it reaches, so no batch may buffer it.
+  // A host drops removed layers like every other caller, so each
+  // Increment releases the levels it reaches.
   auto c = make_counter("hybrid+batching,batch=1000+traced",
                         std::make_shared<InlineExecutor>());
-  EXPECT_EQ(c->spec(), "hybrid+traced");
+  EXPECT_EQ(c->spec(), "hybrid");
+  EXPECT_EQ(make_counter("hybrid+batching,batch=1000+traced")->spec(),
+            "hybrid");
   bool fired = false;
   c->OnReach(5, [&] { fired = true; });
   c->Increment(5);
@@ -402,17 +509,23 @@ TEST(SpecBehavior, ShardedSpecsExposeStripeMetadata) {
   EXPECT_EQ(auto_sharded->stripe_count(), auto_sharded->stats().stripe_count);
 }
 
-// Batching really batches: increments below the batch threshold stay
-// pending until a flush point (a Check-family call) forces them down.
-TEST(SpecBehavior, BatchingDefersUntilFlush) {
-  auto c = make_counter("list+batching,batch=100");
-  for (int i = 0; i < 99; ++i) c->Increment(1);
-  // A timed probe flushes before sampling, so the 99 pending land now.
-  EXPECT_TRUE(c->CheckFor(99, 0ms));
-  EXPECT_EQ(c->debug_value(), 99u);
-  c->Increment(1);  // 1 pending again
-  c->Check(100);    // flush + wait
-  EXPECT_EQ(c->debug_value(), 100u);
+// Paper §7: the Increment that reaches a level releases every Check
+// parked there.  A batching layer buffered the amount where no parked
+// waiter could flush it, so this waiter timed out; the layer is now
+// dropped and the Increment reaches the engine.
+TEST(SpecBehavior, BatchingSpecIncrementReleasesAParkedWaiter) {
+  auto c = make_counter("hybrid+batching,batch=10");
+  std::atomic<bool> reached{false};
+  std::atomic<bool> done{false};
+  std::jthread waiter([&] {
+    reached = c->CheckFor(1, 300ms);
+    done = true;
+  });
+  while (c->stats().live_nodes == 0 && !done) std::this_thread::yield();
+  c->Increment(1);
+  waiter.join();
+  EXPECT_TRUE(reached.load());
+  EXPECT_EQ(c->debug_value(), 1u);
 }
 
 // A recorded broadcast layer folds to the counter beneath it, which

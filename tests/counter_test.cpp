@@ -3,9 +3,8 @@
 // The typed conformance suite runs the §2 contract — plus the timed,
 // async and introspection extensions every implementation gained from
 // the policy-based engine — against all five BasicCounter
-// instantiations AND decorated compositions (Traced<Counter>,
-// Batching<HybridCounter>), so a decorator
-// cannot silently weaken counter semantics.  Counter-only tests cover
+// instantiations, their striped and sharded-index variants and the
+// fault-injecting wrappers.  Counter-only tests cover
 // the §7 structure (nodes, pooling, snapshots) and the AnyCounter
 // factory surface.
 
@@ -22,7 +21,6 @@
 #include "monotonic/core/broadcast_counter.hpp"
 #include "monotonic/core/counter.hpp"
 #include "monotonic/core/counter_concept.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/core/futex_counter.hpp"
 #include "monotonic/core/hybrid_counter.hpp"
 #include "monotonic/core/spin_counter.hpp"
@@ -50,8 +48,8 @@ using FaultSpinCounter = BasicCounter<SpinWaitT<monotonic::sim::RealFaultEnv>>;
 using FaultHybridCounter =
     BasicCounter<HybridWaitT<monotonic::sim::RealFaultEnv>>;
 
-// Every implementation and every decorator models the full concept
-// ladder since the refactor.
+// Every implementation models the full concept ladder since the
+// refactor.
 static_assert(CounterLike<Counter>);
 static_assert(CounterLike<SingleCvCounter>);
 static_assert(CounterLike<FutexCounter>);
@@ -67,23 +65,16 @@ static_assert(IntrospectableCounter<SingleCvCounter>);
 static_assert(IntrospectableCounter<FutexCounter>);
 static_assert(IntrospectableCounter<SpinCounter>);
 static_assert(IntrospectableCounter<HybridCounter>);
-static_assert(TimedCounterLike<Traced<Counter>>);
-static_assert(TimedCounterLike<Batching<HybridCounter>>);
-static_assert(IntrospectableCounter<Traced<Counter>>);
-static_assert(IntrospectableCounter<Batching<HybridCounter>>);
 static_assert(TimedCounterLike<ShardedCounter>);
 static_assert(TimedCounterLike<ShardedHybridCounter>);
 static_assert(IntrospectableCounter<ShardedCounter>);
 static_assert(IntrospectableCounter<ShardedHybridCounter>);
-static_assert(IntrospectableCounter<Traced<ShardedHybridCounter>>);
 static_assert(PredicateCounterLike<Counter>);
 static_assert(PredicateCounterLike<SingleCvCounter>);
 static_assert(PredicateCounterLike<FutexCounter>);
 static_assert(PredicateCounterLike<SpinCounter>);
 static_assert(PredicateCounterLike<HybridCounter>);
 static_assert(PredicateCounterLike<ShardedHybridCounter>);
-static_assert(PredicateCounterLike<Traced<Counter>>);
-static_assert(PredicateCounterLike<Batching<HybridCounter>>);
 static_assert(PredicateCounterLike<AnyHandle>);
 
 // Wrappers that default-construct over a sharded wait index
@@ -117,16 +108,12 @@ class CounterSemantics : public ::testing::Test {
   C counter_;
 };
 
-// Five bare implementations + three decorated compositions + the
-// striped value plane (bare, over a locking policy, and under a
-// decorator) + a sharded wait index (bare, pooled, and composed with
-// the striped value plane).  Batching is instantiated with batch=1
-// (its default), which must behave as an exact pass-through.
+// Five bare implementations + the striped value plane (bare and over
+// a locking policy) + a sharded wait index (bare, pooled, and composed
+// with the striped value plane).
 using AllCounterTypes =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
-                     HybridCounter, Traced<Counter>, Batching<HybridCounter>,
-                     ShardedCounter,
-                     ShardedHybridCounter, Traced<ShardedHybridCounter>,
+                     HybridCounter, ShardedCounter, ShardedHybridCounter,
                      FaultListCounter, FaultSingleCvCounter,
                      FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
                      HeapPlane<Counter>, HeapPlane<HybridCounter>,
@@ -141,14 +128,9 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, FutexCounter>) return "futex";
     if constexpr (std::is_same_v<T, SpinCounter>) return "spin";
     if constexpr (std::is_same_v<T, HybridCounter>) return "hybrid";
-    if constexpr (std::is_same_v<T, Traced<Counter>>) return "list_traced";
-    if constexpr (std::is_same_v<T, Batching<HybridCounter>>)
-      return "hybrid_batching";
     if constexpr (std::is_same_v<T, ShardedCounter>) return "sharded_list";
     if constexpr (std::is_same_v<T, ShardedHybridCounter>)
       return "sharded_hybrid";
-    if constexpr (std::is_same_v<T, Traced<ShardedHybridCounter>>)
-      return "sharded_hybrid_traced";
     if constexpr (std::is_same_v<T, FaultListCounter>) return "fault_list";
     if constexpr (std::is_same_v<T, FaultSingleCvCounter>)
       return "fault_single_cv";
@@ -322,8 +304,8 @@ TYPED_TEST(CounterSemantics, LargeAmountsAndLevels) {
 
 TYPED_TEST(CounterSemantics, OverflowIsRejected) {
   // Lock-free policies spend one bit on the attention flag, so their
-  // range is half of the locked implementations'; every type (including
-  // decorators) advertises its bound as kMaxValue.
+  // range is half of the locked implementations'; every type advertises
+  // its bound as kMaxValue.
   const counter_value_t max = TypeParam::kMaxValue;
   this->counter_.Increment(max);
   EXPECT_THROW(this->counter_.Increment(1), std::invalid_argument);

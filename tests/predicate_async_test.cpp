@@ -28,11 +28,9 @@
 #include "monotonic/core/completion.hpp"
 #include "monotonic/core/counter.hpp"
 #include "monotonic/core/counter_error.hpp"
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/core/hybrid_counter.hpp"
 #include "monotonic/core/multi.hpp"
 #include "monotonic/core/wait_list.hpp"
-#include "monotonic/support/trace.hpp"
 
 namespace monotonic {
 namespace {
@@ -376,47 +374,7 @@ TEST(AwaitableTest, ResumptionRunsOnTheExecutor) {
   EXPECT_EQ(state.load(), 1);
 }
 
-// ----------------------------------------------- decorators and type erasure
-
-TEST(TracedDecoratorTest, RecordsCompletionEvents) {
-  Tracer tracer;
-  tracer.enable();
-  Traced<Counter> c("jobs", tracer);
-  c.OnReach(2, [] {});
-  c.Increment(2);
-  bool saw_completion = false;
-  for (const auto& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kCompletion) {
-      saw_completion = true;
-      EXPECT_EQ(e.arg, 2u);
-      EXPECT_STREQ(e.name, "jobs");
-    }
-  }
-  EXPECT_TRUE(saw_completion);
-}
-
-TEST(TracedDecoratorTest, PredicateCheckTracesLikeCheck) {
-  Tracer tracer;
-  tracer.enable();
-  Traced<Counter> c("pred", tracer);
-  c.Increment(4);
-  c.Check([](counter_value_t v) { return v >= 4; });
-  bool saw_fast = false;
-  for (const auto& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kCheckFast) saw_fast = true;
-  }
-  EXPECT_TRUE(saw_fast);
-}
-
-TEST(BatchingDecoratorTest, PredicateCheckFlushesPendingIncrements) {
-  Batching<Counter> c(8);  // batch of 8: three 1s stay locally pending
-  c.Increment(1);
-  c.Increment(1);
-  c.Increment(1);
-  // Without the flush-first rule this could park forever on its own
-  // unpublished increments.
-  c.Check([](counter_value_t v) { return v >= 3; });
-}
+// ------------------------------------------------------------ type erasure
 
 TEST(AnyHandleTest, PredicateCheckThroughTypeErasure) {
   AnyHandle h(make_counter("hybrid"));

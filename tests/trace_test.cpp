@@ -1,12 +1,10 @@
 // trace_test.cpp — the tracing subsystem: recording, rings, merge
-// ordering, Chrome JSON shape, and the Traced<> counter decorator.
+// ordering, spans and Chrome JSON shape.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
-#include "monotonic/core/counter_decorator.hpp"
 #include "monotonic/support/trace.hpp"
 #include "monotonic/threads/structured.hpp"
 
@@ -106,47 +104,6 @@ TEST(TracerTest, ChromeJsonShape) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-}
-
-TEST(TracedCounterTest, RecordsIncrementAndFastCheck) {
-  Tracer tracer;
-  tracer.enable();
-  Traced<> counter("jobs", tracer);
-  counter.Increment(2);
-  counter.Check(1);
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, TraceEventKind::kIncrement);
-  EXPECT_EQ(events[0].arg, 2u);
-  EXPECT_EQ(events[1].kind, TraceEventKind::kCheckFast);
-  EXPECT_STREQ(events[1].name, "jobs");
-}
-
-TEST(TracedCounterTest, RecordsResumeAfterParking) {
-  Tracer tracer;
-  tracer.enable();
-  Traced<> counter("gate", tracer);
-  multithreaded_block(
-      [&] { counter.Check(1); },
-      [&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        counter.Increment(1);
-      });
-  bool saw_resume = false;
-  for (const auto& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kResume) saw_resume = true;
-  }
-  EXPECT_TRUE(saw_resume);
-}
-
-TEST(TracedCounterTest, GlobalTracerDefaultsOff) {
-  // Using the global tracer while disabled must cost nothing visible.
-  Traced<> counter("quiet");
-  counter.Increment(1);
-  counter.Check(1);
-  // No assertion on global state (other tests may use it); the real
-  // check is that nothing crashed and nothing leaked (ASan/TSan runs).
-  SUCCEED();
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ a full run each time it changes, and the E12.b/E13 scaling benches
 assert their shape in-binary.  Pass --absolute for a raw
 same-machine, same-mode diff.
 
-Everything else (decorator sweeps, E12.b/E13 scaling rows) is
+Everything else (the E12.b/E13 scaling rows) is
 recorded for trend-reading but deliberately not gated: single-core CI
 runners are too noisy for wide tables.
 """
